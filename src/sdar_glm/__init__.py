@@ -27,7 +27,6 @@ from .solver import (
     Termination,
     gsdar_fit,
     gsdar_step,
-    hard_threshold,
     kkt_residual,
     restricted_mle,
     top_t_support,

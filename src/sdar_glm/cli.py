@@ -26,7 +26,7 @@ from .dataio import (
     standardize_columns,
     train_test_split,
 )
-from .families import Dataset, NumericOverflowError, get_family
+from .families import Dataset, NumericOverflowError, get_family, linear_predictor
 from .path import AgsdarConfig, agsdar_fit
 from .simulate import (
     SCHEME_AR1,
@@ -127,7 +127,7 @@ def _load_dataset(path, family, standardize, n_features):
 
 
 def _train_accuracy(fit, data) -> float:
-    labels = (data.X @ fit.beta_hat + fit.intercept >= 0.0).astype(float)
+    labels = (linear_predictor(data, fit.beta_hat, fit.intercept) >= 0.0).astype(float)
     return metric_acrp(labels, data.y)
 
 

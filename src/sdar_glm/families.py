@@ -165,45 +165,72 @@ class Dataset:
         return self.X.shape[1]
 
 
-def linear_predictor(data: Dataset, beta: np.ndarray) -> np.ndarray:
-    """X @ beta, verified finite entrywise.
-
-    Raises NumericOverflowError naming the first offending observation when
-    the product is not finite (huge inputs, or non-finite beta).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = data.X @ np.asarray(beta, dtype=float)
+def require_finite(theta: np.ndarray) -> np.ndarray:
+    """Return theta, or raise NumericOverflowError naming its first non-finite entry."""
     if not np.all(np.isfinite(theta)):
         raise NumericOverflowError(int(np.flatnonzero(~np.isfinite(theta))[0]))
     return theta
 
 
-def negative_log_likelihood(family: GlmFamily, data: Dataset, beta: np.ndarray) -> float:
+def linear_predictor(data: Dataset, beta: np.ndarray, intercept: float = 0.0) -> np.ndarray:
+    """theta = X @ beta + intercept, verified finite entrywise.
+
+    Costs O(n * nnz(beta)): when beta has at most n nonzeros, which every
+    sparse iterate of the solver does, only those columns of X are read;
+    a denser beta falls back to the full product.  The intercept is added
+    to theta, so no ones column is ever appended to X.
+
+    Raises NumericOverflowError naming the first offending observation when
+    the product is not finite (huge inputs, or non-finite beta).
+    """
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (data.p,):
+        raise ValueError(f"beta must have shape ({data.p},), got {beta.shape}")
+    nz = np.flatnonzero(beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = data.X[:, nz] @ beta[nz] if nz.size <= data.n else data.X @ beta
+        theta += intercept
+    return require_finite(theta)
+
+
+def negative_log_likelihood(
+    family: GlmFamily, data: Dataset, beta: np.ndarray, intercept: float = 0.0
+) -> float:
     """L(beta) = -(1/n) sum_i [y_i theta_i - c(theta_i) + d(y_i)]."""
-    theta = linear_predictor(data, beta)
+    theta = linear_predictor(data, beta, intercept)
     terms = data.y * theta - family.cumulant(theta) + family.base_measure(data.y)
     return float(-np.mean(terms))
 
 
-def gradient(family: GlmFamily, data: Dataset, beta: np.ndarray) -> np.ndarray:
-    """grad L(beta) = (1/n) X^T (c'(X beta) - y)."""
-    theta = linear_predictor(data, beta)
+def gradient(
+    family: GlmFamily, data: Dataset, beta: np.ndarray, intercept: float = 0.0
+) -> np.ndarray:
+    """grad L(beta) = (1/n) X^T (c'(X beta + intercept) - y), with respect to beta.
+
+    The product with X^T is the one pass over all of X.
+    """
+    theta = linear_predictor(data, beta, intercept)
     return data.X.T @ (family.mean(theta) - data.y) / data.n
+
+
+def weighted_gram(Xa: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) Xa^T diag(w) Xa, the Hessian of L restricted to the columns Xa.
+
+    Built as M^T M with M = diag(sqrt(w)) Xa and symmetrized by averaging,
+    so the result is exactly symmetric and positive semidefinite.  Both
+    hessian_active and the solver's restricted Newton step use it.
+    """
+    M = Xa * np.sqrt(w)[:, None]
+    H = M.T @ M / n
+    return 0.5 * (H + H.T)
 
 
 def hessian_active(
     family: GlmFamily, data: Dataset, beta: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
-    """Restricted Hessian (1/n) X_A^T diag(c''(X beta)) X_A.
-
-    Built as M^T M with M = diag(sqrt(w)) X_A and symmetrized by averaging,
-    so the result is exactly symmetric and positive semidefinite.
-    """
+    """Restricted Hessian (1/n) X_A^T diag(c''(X beta)) X_A (see weighted_gram)."""
     active = np.asarray(active, dtype=int)
     if active.size == 0:
         raise ValueError("active set must be nonempty")
-    theta = linear_predictor(data, beta)
-    w = family.variance(theta)
-    M = data.X[:, active] * np.sqrt(w)[:, None]
-    H = M.T @ M / data.n
-    return 0.5 * (H + H.T)
+    w = family.variance(linear_predictor(data, beta))
+    return weighted_gram(data.X[:, active], w, data.n)

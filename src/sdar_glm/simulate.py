@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataio import train_test_split
-from .families import Dataset, LOGISTIC, NumericOverflowError
+from .families import Dataset, LOGISTIC, NumericOverflowError, linear_predictor
 from .path import AgsdarConfig, agsdar_fit
 from .rng import as_rng, make_rng
 from .solver import FitResult, SdarConfig, SingularSystemError, gsdar_fit
@@ -230,8 +230,7 @@ def metric_discovery(
 
 
 def _predict_labels(fit: FitResult, data: Dataset) -> np.ndarray:
-    theta = data.X @ fit.beta_hat + fit.intercept
-    return (theta >= 0.0).astype(float)
+    return (linear_predictor(data, fit.beta_hat, fit.intercept) >= 0.0).astype(float)
 
 
 def run_replications(

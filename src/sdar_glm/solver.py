@@ -22,9 +22,10 @@ from scipy import linalg as sla
 from .families import (
     Dataset,
     GlmFamily,
-    NumericOverflowError,
     gradient,
     negative_log_likelihood,
+    require_finite,
+    weighted_gram,
 )
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "SdarConfig",
     "SdarState",
     "FitResult",
-    "hard_threshold",
     "top_t_support",
     "restricted_mle",
     "gsdar_step",
@@ -98,15 +98,22 @@ class SdarState:
     """One outer iterate.
 
     active is the index set the current beta was solved on (empty at
-    iteration 0).  For every state with iteration >= 1, beta vanishes off
-    the active set and dual vanishes on it, so beta * dual == 0 holds
-    coordinatewise.
+    iteration 0).  beta and dual have one entry per column of X; X itself
+    is never augmented.  With cfg.with_intercept the intercept rides along
+    in `intercept`: every restricted solve fits it as an extra coefficient
+    and it is never screened.  For every state with iteration >= 1, beta
+    vanishes off the active set and dual vanishes on it, so
+    beta * dual == 0 holds coordinatewise; dual_active keeps the entries
+    of -grad L on the active set that dual zeroes, so the certificate of
+    this iterate needs no second pass over X.
     """
 
     beta: np.ndarray
     dual: np.ndarray
     active: np.ndarray
     iteration: int
+    intercept: float = 0.0
+    dual_active: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -120,31 +127,23 @@ class FitResult:
     intercept: float = 0.0
 
 
-def hard_threshold(v: np.ndarray, lam: float) -> np.ndarray:
-    """Zero every entry with |v_i| < sqrt(2*lam); entries at the boundary stay.
-
-    lam = 0 is the identity.
-    """
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    v = np.asarray(v, dtype=float)
-    out = v.copy()
-    out[np.abs(v) < np.sqrt(2.0 * lam)] = 0.0
-    return out
-
-
 def top_t_support(v: np.ndarray, t: int) -> np.ndarray:
     """Indices of the t largest-magnitude entries, ascending.
 
     Ties at the t-th magnitude are broken toward smaller index, so the
-    result always has exactly t elements.
+    result always has exactly t elements; NaN entries rank below every
+    number.  A partition finds the t-th magnitude in O(p), which is all a
+    full sort would be used for.
     """
     v = np.asarray(v, dtype=float)
     if not 1 <= t <= v.size:
         raise ValueError(f"t must lie in [1, {v.size}], got {t}")
-    # stable sort on -|v| keeps equal magnitudes in ascending-index order
-    order = np.argsort(-np.abs(v), kind="stable")
-    return np.sort(order[:t])
+    a = np.abs(v)
+    a[np.isnan(a)] = -1.0
+    kth = np.partition(a, v.size - t)[v.size - t]
+    keep = a > kth
+    keep[np.flatnonzero(a == kth)[: t - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def _solve_newton_system(H, g, cfg, active):
@@ -191,10 +190,7 @@ def restricted_mle(
     cap = cfg.coef_cap if family.name == "logistic" else None
 
     def theta_of(b):
-        theta = Xa @ b
-        if not np.all(np.isfinite(theta)):
-            raise NumericOverflowError(int(np.flatnonzero(~np.isfinite(theta))[0]))
-        return theta
+        return require_finite(Xa @ b)
 
     def value(theta):
         return float(-np.mean(y * theta - family.cumulant(theta)) - d_mean)
@@ -212,10 +208,7 @@ def restricted_mle(
         g = Xa.T @ (family.mean(theta) - y) / n
         if np.max(np.abs(g)) <= cfg.newton_grad_tol:
             return b
-        w = family.variance(theta)
-        M = Xa * np.sqrt(w)[:, None]
-        H = M.T @ M / n
-        H = 0.5 * (H + H.T)
+        H = weighted_gram(Xa, family.variance(theta), n)
         step = _solve_newton_system(H, g, cfg, active)
         slope = float(g @ step)
         if slope >= 0.0:
@@ -239,14 +232,8 @@ def restricted_mle(
     return best_b
 
 
-def _screen_dim(data: Dataset, cfg: SdarConfig) -> int:
-    """Number of screenable coordinates (the intercept column is pinned)."""
-    return data.p - 1 if cfg.with_intercept else data.p
-
-
-def _detect_support(state: SdarState, cfg: SdarConfig, screen_dim: int) -> np.ndarray:
-    v = state.beta[:screen_dim] + cfg.step_size_tau * state.dual[:screen_dim]
-    return top_t_support(v, cfg.sparsity_t)
+def _detect_support(state: SdarState, cfg: SdarConfig) -> np.ndarray:
+    return top_t_support(state.beta + cfg.step_size_tau * state.dual, cfg.sparsity_t)
 
 
 def _advance(
@@ -256,71 +243,73 @@ def _advance(
     support: np.ndarray,
     cfg: SdarConfig,
 ) -> SdarState:
-    """Solve on `support` (plus the pinned intercept column) and refresh the dual."""
+    """Solve on `support` (plus the intercept) and refresh the dual: one pass over X.
+
+    The intercept's ones column is appended only to the n x |support| block
+    that the restricted solve sees.
+    """
+    init = state.beta[support]
+    intercept = 0.0
     if cfg.with_intercept:
-        solve_idx = np.append(support, data.p - 1)
+        block = Dataset(np.column_stack([data.X[:, support], np.ones(data.n)]), data.y)
+        try:
+            coef = restricted_mle(
+                family, block, np.arange(support.size + 1), np.append(init, state.intercept), cfg
+            )
+        except SingularSystemError:
+            # name the design's columns, with the intercept as column p
+            raise SingularSystemError(np.append(support, data.p)) from None
+        coef, intercept = coef[:-1], float(coef[-1])
     else:
-        solve_idx = support
-    beta_active = restricted_mle(family, data, solve_idx, state.beta[solve_idx], cfg)
+        coef = restricted_mle(family, data, support, init, cfg)
     beta = np.zeros(data.p)
-    beta[solve_idx] = beta_active
-    dual = -gradient(family, data, beta)
-    dual[solve_idx] = 0.0
+    beta[support] = coef
+    dual = -gradient(family, data, beta, intercept)
+    dual_active = dual[support]
+    dual[support] = 0.0
     return SdarState(
         beta=beta,
         dual=dual,
-        active=np.asarray(support, dtype=int),
+        active=support,
         iteration=state.iteration + 1,
+        intercept=intercept,
+        dual_active=dual_active,
     )
 
 
 def gsdar_step(family: GlmFamily, data: Dataset, state: SdarState, cfg: SdarConfig) -> SdarState:
     """One outer iteration: detect the support, solve on it, refresh the dual.
 
-    With cfg.with_intercept the trailing column of data.X must be the
-    all-ones column (gsdar_fit arranges this); it is always solved on and
-    never screened.
+    With cfg.with_intercept the intercept is carried in state.intercept,
+    not in a column of data.X: it is solved for together with the detected
+    support and never screened.
     """
-    support = _detect_support(state, cfg, _screen_dim(data, cfg))
+    support = _detect_support(state, cfg)
     return _advance(family, data, state, support, cfg)
 
 
-def _augment_with_ones(data: Dataset) -> Dataset:
-    ones = np.ones((data.n, 1))
-    return Dataset(np.hstack([data.X, ones]), data.y)
-
-
-def _initial_state(family: GlmFamily, data: Dataset, beta: np.ndarray) -> SdarState:
-    dual = -gradient(family, data, beta)
-    return SdarState(beta=beta, dual=dual, active=np.empty(0, dtype=int), iteration=0)
-
-
-def _kkt_residual_full(
-    family: GlmFamily, data: Dataset, beta_full: np.ndarray, t: int, screen_dim: int
-) -> float:
+def _certificate(beta: np.ndarray, d: np.ndarray, t: int) -> float:
     """||beta - H(beta + d)||_inf with the threshold set at the t-th magnitude.
 
     d = -grad L(beta); the thresholding keeps exactly the solver's top-t
     selection (same tie-break), so a support-stationary solution scores at
     the Newton tolerance level.
     """
-    d = -gradient(family, data, beta_full)
-    u = beta_full[:screen_dim] + d[:screen_dim]
+    u = beta + d
     sel = top_t_support(u, t)
-    h = np.zeros(screen_dim)
+    h = np.zeros(beta.size)
     h[sel] = u[sel]
-    return float(np.max(np.abs(beta_full[:screen_dim] - h)))
+    return float(np.max(np.abs(beta - h)))
 
 
 def kkt_residual(family: GlmFamily, data: Dataset, fit: FitResult, t: int) -> float:
-    """Stationarity certificate for a fit on `data` (0 means exact fixed point)."""
-    if fit.intercept != 0.0:
-        work = _augment_with_ones(data)
-        beta_full = np.concatenate([fit.beta_hat, [fit.intercept]])
-    else:
-        work = data
-        beta_full = np.asarray(fit.beta_hat, dtype=float)
-    return _kkt_residual_full(family, work, beta_full, t, data.p)
+    """Stationarity certificate for a fit on `data` (0 means exact fixed point).
+
+    Costs one pass over X; the intercept enters the linear predictor as an
+    offset, so X is not copied.
+    """
+    beta = np.asarray(fit.beta_hat, dtype=float)
+    return _certificate(beta, -gradient(family, data, beta, fit.intercept), t)
 
 
 def gsdar_fit(
@@ -336,6 +325,10 @@ def gsdar_fit(
     support repeats consecutively, CYCLE_DETECTED when an earlier support
     recurs non-consecutively (the visited iterate with smallest NLL is
     returned), MAX_ITERS otherwise (best iterate returned).
+
+    A fit reads all of X once for the initial dual and once per outer
+    iteration, and never copies it; the returned certificate reuses the
+    dual of the chosen iterate.
     """
     if data.n < 1:
         raise ValueError("data must contain at least one observation")
@@ -350,57 +343,50 @@ def gsdar_fit(
             f" <= n, got {solve_size} > {data.n}"
         )
 
-    work = _augment_with_ones(data) if cfg.with_intercept else data
-    screen_dim = data.p
-    beta_init = np.zeros(work.p)
-    if beta0 is not None:
-        beta0 = np.asarray(beta0, dtype=float)
-        if beta0.shape != (data.p,):
-            raise ValueError(f"beta0 must have shape ({data.p},), got {beta0.shape}")
-        beta_init[: data.p] = beta0
-        if cfg.with_intercept:
-            beta_init[-1] = float(intercept0)
+    beta = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float)
+    if beta.shape != (data.p,):
+        raise ValueError(f"beta0 must have shape ({data.p},), got {beta.shape}")
+    intercept = float(intercept0) if cfg.with_intercept else 0.0
 
-    state = _initial_state(family, work, beta_init)
-    visited: dict[frozenset, SdarState] = {}
-    best_state: SdarState | None = None
-    best_nll = np.inf
+    state = SdarState(
+        beta=beta,
+        dual=-gradient(family, data, beta, intercept),
+        active=np.empty(0, dtype=int),
+        iteration=0,
+        intercept=intercept,
+    )
+    visited: set[frozenset] = set()
+    best_state, best_nll = None, np.inf
     termination = Termination.MAX_ITERS
-    chosen: SdarState | None = None
+    chosen = None
 
     for _ in range(cfg.max_outer_iters):
-        support = _detect_support(state, cfg, screen_dim)
+        support = _detect_support(state, cfg)
         if state.iteration > 0 and np.array_equal(support, state.active):
             termination = Termination.SUPPORT_STATIONARY
-            chosen = state
+            chosen, chosen_nll = state, nll
             break
         key = frozenset(support.tolist())
         if key in visited:
             termination = Termination.CYCLE_DETECTED
-            chosen = best_state
             break
-        state = _advance(family, work, state, support, cfg)
-        nll = negative_log_likelihood(family, work, state.beta)
-        visited[key] = state
+        state = _advance(family, data, state, support, cfg)
+        nll = negative_log_likelihood(family, data, state.beta, state.intercept)
+        visited.add(key)
         if nll < best_nll:
             best_nll, best_state = nll, state
 
     if chosen is None:
-        chosen = best_state  # MAX_ITERS: iteration budget spent
+        chosen, chosen_nll = best_state, best_nll  # a cycle, or the budget is spent
 
-    beta_full = chosen.beta
-    if cfg.with_intercept:
-        beta_hat = beta_full[:screen_dim].copy()
-        intercept = float(beta_full[screen_dim])
-    else:
-        beta_hat = beta_full.copy()
-        intercept = 0.0
+    d = chosen.dual.copy()
+    d[chosen.active] = chosen.dual_active
     return FitResult(
-        beta_hat=beta_hat,
+        beta_hat=chosen.beta.copy(),
         support=chosen.active.copy(),
-        nll=negative_log_likelihood(family, work, beta_full),
-        kkt_residual=_kkt_residual_full(family, work, beta_full, t, screen_dim),
+        nll=chosen_nll,
+        kkt_residual=_certificate(chosen.beta, d, t),
         iters=state.iteration,
         termination=termination,
-        intercept=intercept,
+        intercept=chosen.intercept,
     )

@@ -1,7 +1,5 @@
-"""Solver mechanics: thresholding, support detection, restricted Newton,
+"""Solver mechanics: support detection, restricted Newton,
 outer iteration, termination, and the stationarity certificate."""
-
-import math
 
 import numpy as np
 import pytest
@@ -27,34 +25,6 @@ def fresh_state(family, data):
         active=np.empty(0, dtype=int),
         iteration=0,
     )
-
-
-# --- hard_threshold ----------------------------------------------------------
-
-def test_hard_threshold_keeps_boundary_entries():
-    out = sg.hard_threshold(np.array([3.0, 1.0, -2.0]), 2.0)  # threshold sqrt(4) = 2
-    assert np.array_equal(out, [3.0, 0.0, -2.0])
-
-
-def test_hard_threshold_zero_lam_is_identity():
-    v = np.array([0.5, -0.1, 0.0])
-    assert np.array_equal(sg.hard_threshold(v, 0.0), v)
-
-
-def test_hard_threshold_rejects_negative_lam():
-    with pytest.raises(ValueError, match="nonnegative"):
-        sg.hard_threshold(np.array([1.0]), -1.0)
-
-
-@settings(deadline=None)
-@given(
-    st.lists(finite_floats.filter(lambda x: abs(x) < 1e12), min_size=0, max_size=30),
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-def test_hard_threshold_entrywise_law(values, lam):
-    v = np.array(values, dtype=float)
-    expected = np.where(np.abs(v) < math.sqrt(2.0 * lam), 0.0, v)
-    assert np.array_equal(sg.hard_threshold(v, lam), expected)
 
 
 # --- top_t_support -----------------------------------------------------------
@@ -90,6 +60,27 @@ def test_top_t_support_matches_brute_force(values, data):
     got = sg.top_t_support(v, t)
     assert got.size == t
     assert np.array_equal(got, brute)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-2, 2).map(float),
+            st.sampled_from([np.inf, -np.inf, np.nan, -0.0]),
+            finite_floats,
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.data(),
+)
+def test_top_t_support_matches_stable_argsort_on_ties(values, data):
+    # small integers make many entries tie at the t-th magnitude
+    v = np.array(values, dtype=float)
+    t = data.draw(st.integers(1, v.size))
+    expected = np.sort(np.argsort(-np.abs(v), kind="stable")[:t])
+    assert np.array_equal(sg.top_t_support(v, t), expected)
 
 
 # --- restricted_mle ----------------------------------------------------------
@@ -165,6 +156,18 @@ def test_restricted_mle_singular_system_survives_with_jitter():
     b = restricted_mle(sg.GAUSSIAN, data, np.array([0, 1]), np.zeros(2),
                        sg.SdarConfig(sparsity_t=2))
     assert np.all(np.isfinite(b))
+
+
+def test_singular_intercept_solve_names_the_intercept_as_column_p():
+    # a constant column duplicates the implicit ones column of the intercept
+    rng = make_rng(7, 0)
+    X = rng.standard_normal((30, 4))
+    X[:, 2] = 1.0
+    data = sg.Dataset(X, 5.0 + rng.standard_normal(30))
+    cfg = sg.SdarConfig(sparsity_t=1, with_intercept=True, ridge_jitter=0.0)
+    with pytest.raises(sg.SingularSystemError) as err:
+        sg.gsdar_fit(sg.GAUSSIAN, data, cfg)
+    assert err.value.active.tolist() == [2, 4]
 
 
 @pytest.mark.parametrize(
