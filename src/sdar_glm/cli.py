@@ -173,6 +173,7 @@ def _cmd_path(args) -> int:
         nll_below=args.stop_nll,
         change_below=args.stop_change,
         warm_start=not args.cold_start,
+        full_path=args.full_path,
         inner=SdarConfig(
             sparsity_t=1,
             step_size_tau=args.tau,
@@ -196,6 +197,8 @@ def _cmd_path(args) -> int:
         ])
     for t, message in result.failures:
         rows.append([t, None, None, None, None, None, 0, message])
+    for t in result.skipped:
+        rows.append([t, None, None, None, None, None, 0, "skipped: hbic bound"])
     rows.sort(key=lambda r: r[0])
     _write_output(_csv_text(header, rows), args.output)
     return 0
@@ -355,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="stop once consecutive coefficient change falls below this")
     path.add_argument("--cold-start", action="store_true",
                       help="refit every level from zero instead of warm starting")
+    path.add_argument("--full-path", action="store_true",
+                      help="fit every level up to Q, past the HBIC bound that stops the sweep")
     _add_solver_flags(path)
     path.add_argument("--output", default=None)
     path.set_defaults(func=_cmd_path)

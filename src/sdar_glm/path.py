@@ -5,10 +5,20 @@ T = theta, 2*theta, ... up to a budget Q (default floor(n / log n)), each
 point warm-started from the previous one, and pick the fit minimizing a
 high-dimensional BIC
 
-    HBIC(fit) = 2 n L(beta_hat) + |supp(beta_hat)| * log(log n) * log p.
+    HBIC(fit) = 2 n L(beta_hat) + |support| * log(log n) * log p,
 
-The T = 0 point (beta = 0) is added analytically so the null model always
-competes.  Ties go to the smaller T.
+where |support| is the length of the fit's support: T at a fitted level T,
+even when a coefficient on it is zero.  The T = 0 point (beta = 0) is added
+analytically so the null model always competes.  Ties go to the smaller T.
+
+Both families have L >= 0, so the penalty alone bounds the HBIC of level T
+from below by T * log(log n) * log p, which grows with T.  The sweep stops
+before the first level whose bound reaches the smallest HBIC so far: no
+later level can beat that minimum, and a tie goes to the earlier level, so
+the selection is the one the full sweep makes.  PathResult.skipped lists
+the levels ruled out; AgsdarConfig(full_path=True) fits them anyway.  (A
+Gaussian fit that reproduces y can round L a few ulps below zero; only a
+tie at that rounding level could then differ from the full sweep.)
 """
 
 from __future__ import annotations
@@ -33,9 +43,12 @@ class AgsdarConfig:
     and any cap is clamped to min(n - 1, p).  The optional early-stop
     thresholds end the path once the fitted NLL falls below nll_below or
     the sup-norm change between consecutive coefficient vectors falls
-    below change_below; by default the whole path is fitted.  warm_start
-    = False refits every level from zero (cold starts are independent, so
-    levels can then be evaluated in parallel).
+    below change_below.  Independently of both, the path stops once the
+    HBIC lower bound of the next level reaches the smallest HBIC so far,
+    which never changes the selection (see the module docstring);
+    full_path = True fits every level up to the cap instead, for the whole
+    HBIC curve.  warm_start = False refits every level from zero (cold
+    starts are independent, so levels can then be evaluated in parallel).
     """
 
     increment_theta: int = 1
@@ -43,6 +56,7 @@ class AgsdarConfig:
     nll_below: float | None = None
     change_below: float | None = None
     warm_start: bool = True
+    full_path: bool = False
     inner: SdarConfig = SdarConfig(sparsity_t=1)  # sparsity_t is overridden per level
 
     def __post_init__(self):
@@ -69,14 +83,21 @@ class PathResult:
     selected_t: int
     selected_fit: FitResult
     failures: tuple[tuple[int, str], ...] = ()
+    skipped: tuple[int, ...] = ()  # levels the HBIC bound ruled out, never fitted
 
 
 def hbic(fit: FitResult, n: int, p: int) -> float:
-    """2 n L + |supp| log(log n) log p; needs n >= 3 so the penalty is positive."""
+    """2 n L + |support| log(log n) log p; needs n >= 3 so the penalty is positive.
+
+    |support| is len(fit.support), not the count of nonzero coefficients.
+    """
     if n < 3:
         raise ValueError(f"hbic needs n >= 3, got {n}")
-    support_size = int(np.count_nonzero(fit.beta_hat))
-    return 2.0 * n * fit.nll + support_size * math.log(math.log(n)) * math.log(p)
+    return 2.0 * n * fit.nll + _penalty(fit.support.size, n, p)
+
+
+def _penalty(support_size: int, n: int, p: int) -> float:
+    return support_size * math.log(math.log(n)) * math.log(p)
 
 
 def _null_fit(family: GlmFamily, data: Dataset) -> FitResult:
@@ -95,7 +116,10 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
     """Fit the sparsity path and select the HBIC minimizer.
 
     A level whose solve fails is recorded in `failures` and skipped; the
-    next level warm-starts from the last success.
+    next level warm-starts from the last success.  Unless cfg.full_path,
+    the sweep ends before the first level T whose penalty alone is at
+    least the smallest HBIC so far, and T and the levels after it up to
+    the cap are listed in `skipped`.
     """
     n, p = data.n, data.p
     if n < 3:
@@ -106,10 +130,15 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
     null = _null_fit(family, data)
     points = [PathPoint(0, null, hbic(null, n, p))]
     failures: list[tuple[int, str]] = []
+    skipped: tuple[int, ...] = ()
     prev_fit = null
+    best_hbic = points[0].hbic
 
     t = cfg.increment_theta
     while t <= q:
+        if not cfg.full_path and _penalty(t, n, p) >= best_hbic:
+            skipped = tuple(range(t, q + 1, cfg.increment_theta))
+            break
         inner = replace(cfg.inner, sparsity_t=t)
         beta0 = prev_fit.beta_hat if cfg.warm_start else None
         intercept0 = prev_fit.intercept if cfg.warm_start else 0.0
@@ -120,6 +149,7 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
             t += cfg.increment_theta
             continue
         points.append(PathPoint(t, fit, hbic(fit, n, p)))
+        best_hbic = min(best_hbic, points[-1].hbic)
         change = float(np.max(np.abs(fit.beta_hat - prev_fit.beta_hat)))
         prev_fit = fit
         if cfg.nll_below is not None and fit.nll <= cfg.nll_below:
@@ -134,4 +164,5 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
         selected_t=best.t,
         selected_fit=best.fit,
         failures=tuple(failures),
+        skipped=skipped,
     )

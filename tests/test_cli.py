@@ -185,6 +185,28 @@ def test_path_emits_one_row_per_level_plus_selection(tmp_path, capsys):
     assert int(chosen[0]) == expected.selected_t
 
 
+def test_path_reports_levels_skipped_by_the_hbic_bound(tmp_path, capsys):
+    data_path = planted_file(tmp_path, p=20)  # default budget floor(80 / log 80) = 18
+    argv = ["path", "--family", "logistic", "--data", data_path]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert run_cli(argv, capsys)[1] == out  # same argv, same bytes
+    _, rows = csv_rows(out)
+    assert [int(r[0]) for r in rows] == list(range(19))
+    skipped = [r for r in rows if r[7] == "skipped: hbic bound"]
+    assert skipped and skipped[-1][0] == "18"
+    assert all(r[1:6] == [""] * 5 and r[6] == "0" for r in skipped)
+
+    code, full_out, _ = run_cli(argv + ["--full-path"], capsys)
+    assert code == 0
+    _, full_rows = csv_rows(full_out)
+    assert [int(r[0]) for r in full_rows] == list(range(19))
+    assert all(r[7] == "" for r in full_rows)
+    # the fitted levels print identically, and both tables select the same T
+    assert rows[: len(rows) - len(skipped)] == full_rows[: len(rows) - len(skipped)]
+    assert [r[0] for r in rows if r[6] == "1"] == [r[0] for r in full_rows if r[6] == "1"]
+
+
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_sweeps_the_grid_and_reports_metrics(capsys):

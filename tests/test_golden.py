@@ -75,6 +75,11 @@ CASES = {
 
 PATH_CASE = (sg.LOGISTIC, lambda: _with_offset_labels(11, 150, 40, 3, -0.5))
 
+# one replication of the C6 cell (n = 400, p = 500, K = 6, AR(1) rho = 0.3,
+# R = 10); the default budget floor(400 / log 400) is 66 levels
+C6_SIM = sg.SimConfig(n=400, p=500, k=6, rho=0.3, range_ratio=10.0, scheme=sg.SCHEME_AR1, seed=400)
+C6_REP = 1
+
 
 def _summary(fit):
     return (fit.support.tolist(), fit.termination.value, fit.iters, fit.intercept)
@@ -120,6 +125,11 @@ GOLDEN_PATH = (3, [
 ])
 
 
+# selected level and fit of the C6 replication, recorded from a sweep of all
+# 66 levels before the HBIC early stop existed
+GOLDEN_C6 = (11, ([86, 103, 113, 134, 159, 302, 355, 395, 422, 469, 474], "support_stationary", 1, 0.0))
+
+
 def _assert_matches(got, want):
     support, termination, iters, intercept = got
     assert (support, termination, iters) == tuple(want[:3])
@@ -138,3 +148,13 @@ def test_warm_started_path_matches_recorded_result():
     assert [lv[0] for lv in levels] == [lv[0] for lv in want_levels]
     for got, want in zip(levels, want_levels):
         _assert_matches(got[1:], want[1:])
+
+
+def test_c6_path_selects_the_full_sweep_model_from_few_levels():
+    data = sg.generate_instance(C6_SIM, C6_REP)[0]
+    result = sg.agsdar_fit(sg.LOGISTIC, data, sg.AgsdarConfig())
+    want_t, want_fit = GOLDEN_C6
+    assert result.selected_t == want_t
+    _assert_matches(_summary(result.selected_fit), want_fit)
+    fitted = len(result.fits) - 1 + len(result.failures)  # the null point is not fitted
+    assert fitted <= 20  # the full sweep fits 66

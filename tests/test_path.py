@@ -1,6 +1,8 @@
 """Sparsity-level path: information criterion, sweep mechanics, selection."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ def test_hbic_matches_hand_computed_value():
     assert got == pytest.approx(122.19753248851397, abs=1e-12)
 
 
-def test_hbic_counts_nonzeros_not_support_length():
+def test_hbic_counts_the_support_not_the_nonzeros():
     beta = np.zeros(50)
     beta[7] = 2.0
     fit = make_fit(beta, 0.25)
@@ -51,7 +53,10 @@ def test_hbic_counts_nonzeros_not_support_length():
         iters=1,
         termination=sg.Termination.SUPPORT_STATIONARY,
     )
-    assert hbic(fit, 40, 50) == hbic(fit_padded, 40, 50)
+    # the padded coordinate costs one full penalty unit
+    penalty = math.log(math.log(40)) * math.log(50)
+    assert hbic(fit_padded, 40, 50) > hbic(fit, 40, 50)
+    assert hbic(fit_padded, 40, 50) - hbic(fit, 40, 50) == pytest.approx(penalty, rel=1e-12)
 
 
 def test_hbic_penalty_grows_with_support_at_equal_nll():
@@ -109,7 +114,8 @@ def test_zero_response_gaussian_selects_the_null_model():
     rng = make_rng(47)
     data = sg.Dataset(rng.standard_normal((30, 6)), np.zeros(30))
     res = sg.agsdar_fit(sg.GAUSSIAN, data, sg.AgsdarConfig(max_support_q=3))
-    # every support fits y = 0 exactly, so ties resolve to the smallest T
+    # the null model fits y = 0 exactly, so its HBIC of 0 is below the
+    # penalty of every other level and the bound stops the sweep at T = 1
     assert all(pt.hbic == 0.0 for pt in res.fits)
     assert res.selected_t == 0
 
@@ -141,7 +147,10 @@ def test_coefficient_change_floor_stops_the_sweep_early():
     beta = np.zeros(10)
     beta[[2, 7]] = [1.0, -2.0]
     data = sg.Dataset(X, X @ beta)
-    res = sg.agsdar_fit(sg.GAUSSIAN, data, sg.AgsdarConfig(max_support_q=8, change_below=1e-8))
+    res = sg.agsdar_fit(
+        sg.GAUSSIAN, data, sg.AgsdarConfig(max_support_q=8, change_below=1e-8, full_path=True)
+    )
+    # the HBIC bound would also stop this sweep at T = 3, so it is turned off;
     # T = 3 reproduces the T = 2 coefficients (the extra coordinate is ~0),
     # which trips the change floor one point after the fit stabilises
     assert [pt.t for pt in res.fits] == [0, 1, 2, 3]
@@ -180,7 +189,7 @@ def test_default_budget_tracks_sample_size(n, p, expected_max_t):
     X = rng.standard_normal((n, p))
     y = (X[:, 0] > 0).astype(float)
     res = sg.agsdar_fit(sg.LOGISTIC, sg.Dataset(X, y), sg.AgsdarConfig())
-    reached = [pt.t for pt in res.fits] + [t for t, _ in res.failures]
+    reached = [pt.t for pt in res.fits] + [t for t, _ in res.failures] + list(res.skipped)
     assert max(reached) == expected_max_t
 
 
@@ -224,6 +233,73 @@ def test_selected_nll_matches_its_own_coefficients():
     res = sg.agsdar_fit(sg.LOGISTIC, data, sg.AgsdarConfig())
     recomputed = negative_log_likelihood(sg.LOGISTIC, data, res.selected_fit.beta_hat)
     assert res.selected_fit.nll == pytest.approx(recomputed, rel=1e-12)
+
+
+# --- the HBIC early stop ------------------------------------------------------
+
+def _assert_early_stop_is_exact(family, data, cfg):
+    """The default sweep selects what the full sweep selects, from a prefix of it."""
+    early = sg.agsdar_fit(family, data, cfg)
+    full = sg.agsdar_fit(family, data, replace(cfg, full_path=True))
+    assert early.selected_t == full.selected_t
+    assert np.array_equal(early.selected_fit.beta_hat, full.selected_fit.beta_hat)
+    assert np.array_equal(early.selected_fit.support, full.selected_fit.support)
+    assert early.selected_fit.intercept == full.selected_fit.intercept
+    assert len(early.fits) <= len(full.fits)
+    for got, want in zip(early.fits, full.fits):
+        assert got.t == want.t
+        assert np.array_equal(got.fit.beta_hat, want.fit.beta_hat)
+        assert got.fit.intercept == want.fit.intercept
+        assert got.hbic == want.hbic
+    assert full.skipped == ()
+    assert early.skipped, "the bound never fired, so nothing was checked"
+    first = early.skipped[0]
+    penalty = math.log(math.log(data.n)) * math.log(data.p)
+    assert first * penalty >= min(pt.hbic for pt in early.fits)
+    # every fitted or failed level lies before the first skipped one, and the
+    # skipped levels run on to the cap on the same schedule
+    assert early.failures == tuple(f for f in full.failures if f[0] < first)
+    reached = [pt.t for pt in full.fits] + [t for t, _ in full.failures]
+    assert early.skipped == tuple(t for t in sorted(reached) if t >= first)
+    return early, full
+
+
+def _exactness_instance(family, seed, intercept):
+    if family is sg.LOGISTIC:
+        return logistic_instance(seed, 120, 40, 3)[0]
+    data = gaussian_instance(seed, 120, 40, 3, noise=0.5)[0]
+    return sg.Dataset(data.X, data.y + (2.0 if intercept else 0.0))
+
+
+@pytest.mark.parametrize(
+    "name, intercept, theta, warm",
+    list(itertools.product(["logistic", "gaussian"], [False, True], [1, 2], [True, False])),
+)
+def test_early_stop_selects_what_the_full_path_selects(name, intercept, theta, warm):
+    family = sg.get_family(name)
+    for seed in (101, 102):
+        data = _exactness_instance(family, seed, intercept)
+        cfg = sg.AgsdarConfig(
+            increment_theta=theta,
+            warm_start=warm,
+            inner=sg.SdarConfig(sparsity_t=1, with_intercept=intercept),
+        )
+        _assert_early_stop_is_exact(family, data, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_early_stop_is_exact_past_a_failed_level():
+    # integer columns 2 and 3 are identical, so every cold-started level that
+    # ranks both into its support has an exactly singular Hessian
+    rng = make_rng(2)
+    X = rng.integers(-3, 4, size=(30, 8)).astype(float)
+    X[:, 3] = X[:, 2]
+    y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + 0.5 * X[:, 2] + 0.5 * rng.standard_normal(30)
+    cfg = sg.AgsdarConfig(warm_start=False, inner=sg.SdarConfig(sparsity_t=1, ridge_jitter=0.0))
+    early, full = _assert_early_stop_is_exact(sg.GAUSSIAN, sg.Dataset(X, y), cfg)
+    assert [t for t, _ in early.failures] == [4, 5, 6]
+    assert early.skipped == (7, 8)
+    assert [t for t, _ in full.failures] == [4, 5, 6, 7, 8]
 
 
 def test_path_needs_three_observations():
