@@ -117,12 +117,11 @@ def _add_solver_flags(sub):
     sub.add_argument("--intercept", action="store_true", help="fit an unpenalized intercept")
 
 
-def _load_dataset(path, family, standardize, n_features):
-    data = read_libsvm(path, n_features=n_features)
+def _prepare(data, family, standardize) -> Dataset:
+    """A dataset as read from LIBSVM, made ready to fit: labels mapped to
+    {0, 1} for the logistic family, columns rescaled when asked."""
     y = map_labels_to_binary(data.y) if family.name == "logistic" else data.y
-    X = data.X
-    if standardize != "none":
-        X = standardize_columns(X, standardize)
+    X = standardize_columns(data.X, standardize) if standardize != "none" else data.X
     return Dataset(X, y)
 
 
@@ -133,7 +132,7 @@ def _train_accuracy(fit, data) -> float:
 
 def _cmd_fit(args) -> int:
     family = get_family(args.family)
-    data = _load_dataset(args.data, family, args.standardize, args.n_features)
+    data = _prepare(read_libsvm(args.data, n_features=args.n_features), family, args.standardize)
     cfg = SdarConfig(
         sparsity_t=args.T,
         step_size_tau=args.tau,
@@ -166,7 +165,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_path(args) -> int:
     family = get_family(args.family)
-    data = _load_dataset(args.data, family, args.standardize, args.n_features)
+    data = _prepare(read_libsvm(args.data, n_features=args.n_features), family, args.standardize)
     cfg = AgsdarConfig(
         increment_theta=args.theta,
         max_support_q=args.Q,
@@ -285,18 +284,9 @@ def _cmd_real_data(args) -> int:
     train = read_libsvm(args.train, n_features=args.n_features)
     test = read_libsvm(args.test, n_features=args.n_features) if args.test else None
     p = max(train.p, test.p if test is not None else 0)
-    train = pad_features(train, p)
+    train = _prepare(pad_features(train, p), family, args.standardize)
     if test is not None:
-        test = pad_features(test, p)
-
-    def prepare(ds):
-        y = map_labels_to_binary(ds.y) if family.name == "logistic" else ds.y
-        X = standardize_columns(ds.X, args.standardize) if args.standardize != "none" else ds.X
-        return Dataset(X, y)
-
-    train = prepare(train)
-    if test is not None:
-        test = prepare(test)
+        test = _prepare(pad_features(test, p), family, args.standardize)
     if args.train_size:
         train, test = train_test_split(train, train_size=args.train_size, seed=args.seed)
 

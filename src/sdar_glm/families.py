@@ -9,7 +9,9 @@ log-likelihood of a coefficient vector beta on data (X, y) is
 
 which is convex in beta because c is convex.  Two families are provided:
 logistic (Bernoulli, d = 0) and Gaussian with unit dispersion
-(d(y) = -y^2/2, which makes L equal to ||y - X beta||^2 / (2n)).
+(d(y) = -y^2/2, which makes L equal to ||y - X beta||^2 / (2n)).  Each family
+computes L from theta in one place, `GlmFamily.nll`, in a form that keeps
+L >= 0 exact in floating point.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ class GlmFamily:
         """c''(theta), the conditional variance of y."""
         raise NotImplementedError
 
-    def base_measure(self, y: np.ndarray) -> np.ndarray:
-        """d(y)."""
+    def nll(self, y: np.ndarray, theta: np.ndarray) -> float:
+        """-(1/n) sum_i [y_i theta_i - c(theta_i) + d(y_i)], the mean negative
+        log-likelihood at the linear predictors theta."""
         raise NotImplementedError
 
     def check_response(self, y: np.ndarray) -> None:
@@ -77,8 +80,8 @@ class Logistic(GlmFamily):
         mu = expit(np.asarray(theta, dtype=float))
         return mu * (1.0 - mu)
 
-    def base_measure(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
+    def nll(self, y, theta):
+        return float(np.mean(self.cumulant(theta) - y * theta))
 
     def check_response(self, y):
         y = np.asarray(y)
@@ -105,9 +108,10 @@ class Gaussian(GlmFamily):
     def variance(self, theta):
         return np.ones_like(np.asarray(theta, dtype=float))
 
-    def base_measure(self, y):
-        y = np.asarray(y, dtype=float)
-        return -0.5 * y * y
+    def nll(self, y, theta):
+        # the residual form: y theta - theta^2/2 - y^2/2 rounds below 0 on exact fits
+        r = y - theta
+        return float(0.5 * np.mean(r * r))
 
 
 LOGISTIC = Logistic()
@@ -197,9 +201,7 @@ def negative_log_likelihood(
     family: GlmFamily, data: Dataset, beta: np.ndarray, intercept: float = 0.0
 ) -> float:
     """L(beta) = -(1/n) sum_i [y_i theta_i - c(theta_i) + d(y_i)]."""
-    theta = linear_predictor(data, beta, intercept)
-    terms = data.y * theta - family.cumulant(theta) + family.base_measure(data.y)
-    return float(-np.mean(terms))
+    return family.nll(data.y, linear_predictor(data, beta, intercept))
 
 
 def gradient(

@@ -186,21 +186,17 @@ def restricted_mle(
     Xa = np.ascontiguousarray(data.X[:, active])
     y = data.y
     n = data.n
-    d_mean = float(np.mean(family.base_measure(y)))
     cap = cfg.coef_cap if family.name == "logistic" else None
 
     def theta_of(b):
         return require_finite(Xa @ b)
-
-    def value(theta):
-        return float(-np.mean(y * theta - family.cumulant(theta)) - d_mean)
 
     b = np.asarray(init, dtype=float).copy()
     if b.shape != (active.size,):
         raise ValueError(f"init must have shape ({active.size},), got {b.shape}")
     if cap is not None:
         np.clip(b, -cap, cap, out=b)
-    fb = value(theta_of(b))
+    fb = family.nll(y, theta_of(b))
     best_b, best_f = b.copy(), fb
 
     for _ in range(cfg.newton_max_iters):
@@ -219,7 +215,7 @@ def restricted_mle(
             cand = b + t * step
             if cap is not None:
                 np.clip(cand, -cap, cap, out=cand)
-            fc = value(theta_of(cand))
+            fc = family.nll(y, theta_of(cand))
             if fc <= fb + 1e-4 * t * slope:
                 accepted = True
                 break

@@ -1,4 +1,5 @@
-"""Shared instance builders for the test suite.
+"""Shared instance builders for the test suite, and the per-token LIBSVM
+reader that read_libsvm is compared against.
 
 All randomness flows through keyed Philox streams, so every instance is a
 pure function of its seed: stream 0 feeds the design, 1 the coefficients,
@@ -10,6 +11,8 @@ import math
 import numpy as np
 
 import sdar_glm as sg
+from sdar_glm.dataio import LibsvmParseError
+from sdar_glm.families import Dataset
 from sdar_glm.rng import make_rng
 
 
@@ -47,3 +50,67 @@ def orthogonal_design(seed: int, n: int, p: int) -> np.ndarray:
     raw = make_rng(seed, 0).standard_normal((n, p))
     q, _ = np.linalg.qr(raw)
     return q * math.sqrt(n)
+
+
+def read_libsvm_per_token(path: str, n_features: int | None = None) -> Dataset:
+    """The per-token LIBSVM reader that the bulk read_libsvm replaced, kept
+    verbatim as the reference it is compared against.
+
+    Parse a LIBSVM text file into a dense Dataset.
+
+    The number of columns is the largest feature index seen, or n_features
+    when given (which must cover every observed index).  Labels are kept
+    verbatim; map_labels_to_binary converts them for logistic fits.
+    """
+    labels: list[float] = []
+    rows: list[list[tuple[int, float]]] = []
+    max_idx = 0
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            try:
+                label = float(parts[0])
+            except ValueError:
+                raise LibsvmParseError(lineno, f"bad label {parts[0]!r}") from None
+            feats: list[tuple[int, float]] = []
+            prev = 0
+            for tok in parts[1:]:
+                idx_s, sep, val_s = tok.partition(":")
+                if not sep or not val_s:
+                    raise LibsvmParseError(lineno, f"bad feature token {tok!r}")
+                try:
+                    idx = int(idx_s)
+                except ValueError:
+                    raise LibsvmParseError(lineno, f"bad feature index {idx_s!r}") from None
+                try:
+                    val = float(val_s)
+                except ValueError:
+                    raise LibsvmParseError(lineno, f"bad feature value {val_s!r}") from None
+                if idx < 1:
+                    raise LibsvmParseError(lineno, f"feature index {idx} is not positive")
+                if idx <= prev:
+                    raise LibsvmParseError(
+                        lineno, f"feature indices must be strictly increasing, got {idx} after {prev}"
+                    )
+                if not np.isfinite(val):
+                    raise LibsvmParseError(lineno, f"non-finite feature value {val_s!r}")
+                feats.append((idx, val))
+                prev = idx
+            labels.append(label)
+            rows.append(feats)
+            max_idx = max(max_idx, prev)
+    if not labels:
+        raise LibsvmParseError(0, "file contains no data lines")
+    p = max_idx if n_features is None else int(n_features)
+    if p < max_idx:
+        raise LibsvmParseError(0, f"n_features={p} is below the largest observed index {max_idx}")
+    if p < 1:
+        raise LibsvmParseError(0, "no features found")
+    X = np.zeros((len(labels), p))
+    for i, feats in enumerate(rows):
+        for idx, val in feats:
+            X[i, idx - 1] = val
+    return Dataset(X, np.asarray(labels, dtype=float))

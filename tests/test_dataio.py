@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sdar_glm as sg
 from sdar_glm.dataio import pad_features
+
+from helpers import read_libsvm_per_token
 
 
 def parse(tmp_path, text, **kwargs):
@@ -64,11 +67,81 @@ def test_read_reports_malformed_lines(tmp_path, line, message):
     assert str(err.value).startswith("line 2: ")
 
 
+def test_read_rejects_an_index_beyond_int64(tmp_path):
+    with pytest.raises(sg.LibsvmParseError, match="feature index 99999999999999999999 is too large") as err:
+        parse(tmp_path, "1 1:1.0\n1 2:1.0 99999999999999999999:1.0\n-1 3:1.0\n")
+    assert err.value.lineno == 2
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n"])
 def test_read_rejects_files_without_data(tmp_path, text):
     with pytest.raises(sg.LibsvmParseError, match="no data lines") as err:
         parse(tmp_path, text)
     assert err.value.lineno == 0
+
+
+# --- read_libsvm against the per-token reference ----------------------------
+
+# whitespace that str.split() treats as a separator inside a line
+BLANKS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"])
+# free text for malformed labels and tokens: signs, underscores, colons,
+# comment marks, exponents, blanks and a carriage return
+ODD = "0123456789+-_.:#einaf \t\x0b\x0c\x1c\x1d\x1e\x1f\r"
+LABELS = st.sampled_from(["1", "-1", "+1", "0", "0.5", "+0_1", "-2e0", "3"] * 2 + ["nan", "1e999"])
+INDEX_FORMS = st.sampled_from([
+    str, str, "0{}".format, "+{}".format, "00{}".format,
+    lambda i: f"{str(i)[0]}_{str(i)[1:]}" if i >= 10 else str(i),  # 1_0
+])
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["+1.5", "007", "1_0.5", "-0", ".5", "5.", "1e-3", "-2E+2"]),
+)
+BAD_TOKENS = st.one_of(
+    st.text(ODD, max_size=4),
+    st.sampled_from([
+        "1:", ":1", "1::2", "::", "1:2:3", "0:1", "-3:1", "a:1", "1:b", "2:nan", "3:inf",
+        "4:1e999", "1_0:2", "+2:3", "02:1", "#", "1 #2:3",
+    ]),
+)
+
+
+@st.composite
+def libsvm_lines(draw):
+    """One line: mostly well formed, sometimes with a malformed token."""
+    label = draw(LABELS) if draw(st.sampled_from([True] * 9 + [False])) else draw(st.text(ODD, max_size=3))
+    toks = [label] + [
+        f"{draw(INDEX_FORMS)(i)}:{draw(VALUES)}"
+        for i in sorted(draw(st.sets(st.integers(1, 12), max_size=5)))
+    ]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        toks.insert(draw(st.integers(0, len(toks))), draw(BAD_TOKENS))
+    line = draw(st.sampled_from(["", " ", "\t"])) + "".join(tok + draw(BLANKS) for tok in toks)
+    line += draw(st.sampled_from(["", "", "", "#", " # note", "#1:2"]))
+    return line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+
+
+def read_outcome(reader, path, n_features):
+    """The parsed bytes, or the error's type, message and line number."""
+    try:
+        data = reader(path, n_features=n_features)
+    except ValueError as exc:  # includes LibsvmParseError and UnicodeDecodeError
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+    return data.X.shape, data.X.tobytes(), data.y.tobytes()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(libsvm_lines(), max_size=6),
+    tail=st.sampled_from(["", "", "", "1 1:1", "# end", "1 1:1 # \xe9"]),  # one non-ASCII byte
+    n_features=st.one_of(st.none(), st.integers(0, 15)),
+)
+def test_read_matches_the_per_token_reader(tmp_path, lines, tail, n_features):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(("".join(lines) + tail).encode("latin-1"))
+    assert read_outcome(sg.read_libsvm, str(path), n_features) == read_outcome(
+        read_libsvm_per_token, str(path), n_features
+    )
 
 
 # --- write_libsvm ------------------------------------------------------------

@@ -144,6 +144,17 @@ def test_gaussian_nll_is_half_mean_squared_residual():
     assert sg.negative_log_likelihood(sg.GAUSSIAN, data, b) == pytest.approx(expected, rel=1e-12)
 
 
+def test_gaussian_nll_of_exact_fits_is_never_negative():
+    # L >= 0 must hold exactly: the HBIC early stop of the path relies on it
+    nlls = [
+        sg.gsdar_fit(
+            sg.GAUSSIAN, gaussian_instance(seed, 50, 20, 3, noise=0.0)[0], sg.SdarConfig(sparsity_t=3)
+        ).nll
+        for seed in range(200)
+    ]
+    assert min(nlls) >= 0.0
+
+
 def test_nll_stays_finite_at_saturating_predictors():
     data = sg.Dataset(np.array([[700.0], [-700.0]]), np.array([1.0, 0.0]))
     value = sg.negative_log_likelihood(sg.LOGISTIC, data, np.array([1.0]))

@@ -1,5 +1,6 @@
 """Golden regression: seeded fits keep their supports, terminations and
-iteration counts exactly, and their intercepts to rel 1e-10.
+iteration counts exactly, and their intercepts to rel 1e-10; LIBSVM reading,
+writing and the CLI fit on a seeded file keep their bytes exactly.
 
 The expected values in GOLDEN were recorded from the solver as it stood
 before the one-pass refactor (sparse linear predictor, implicit intercept,
@@ -8,10 +9,13 @@ solver computes, not only how fast it computes it.  To re-record after a
 deliberate change of results, print `{name: run(name) for name in CASES}`.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import sdar_glm as sg
+from sdar_glm.cli import main as cli_main
 from sdar_glm.rng import make_rng
 
 from helpers import gaussian_instance, logistic_instance
@@ -158,3 +162,55 @@ def test_c6_path_selects_the_full_sweep_model_from_few_levels():
     _assert_matches(_summary(result.selected_fit), want_fit)
     fitted = len(result.fits) - 1 + len(result.failures)  # the null point is not fitted
     assert fitted <= 20  # the full sweep fits 66
+
+
+def _libsvm_text(seed=21, n=150, p=40):
+    """A LIBSVM file in the spellings real files use: comments, blank lines,
+    tabs and runs of blanks, signs, exponents, leading zeros, integer values
+    and CRLF line ends.  Labels are +-1 from a logistic model on 3 columns."""
+    rng = make_rng(seed)
+    X = np.where(rng.random((n, p)) < 0.2, np.round(rng.standard_normal((n, p)), 4), 0.0)
+    theta = X[:, [3, 17, 30]] @ np.array([2.5, -2.0, 3.0])
+    y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-theta)), 1, -1)
+    value_forms = (repr, "{:.6e}".format, "{:+.4f}".format, lambda v: f"0{v:.4f}" if v > 0 else repr(v))
+    index_forms = (str, "0{}".format, "+{}".format)
+    lines = ["# seeded LIBSVM golden file", ""]
+    for i in range(n):
+        toks = ["+1" if y[i] > 0 else "-1"]
+        for j in np.flatnonzero(X[i]):
+            idx = index_forms[int(rng.integers(len(index_forms)))](j + 1)
+            toks.append(f"{idx}:{value_forms[int(rng.integers(len(value_forms)))](float(X[i, j]))}")
+        line = "".join(tok + (" ", "\t", "  ")[int(rng.integers(3))] for tok in toks)
+        if rng.random() < 0.1:
+            line += "# trailing comment"
+        lines.append(line + ("\r" if rng.random() < 0.2 else ""))
+    return "\n".join(lines) + "\n"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# recorded from the per-token reader, the per-entry writer and the CLI as they
+# stood before the bulk LIBSVM parser
+GOLDEN_LIBSVM = {
+    "read": "250fa124607449c977754fe30e5971a8973af1e4d36644ec9ec8c56f34d0597c",
+    "write": "309ecde19c7812721c40a1b52dc6a6a6f91a5fb588fff5094bda0b00a9b5174c",
+    "cli-fit": "e0d8240bf2f5bde8c309c0a962086a74e8e2b1c900a1316a238279e63c3b946a",
+}
+
+
+def test_libsvm_read_write_and_cli_fit_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the fit output names the data path
+    (tmp_path / "golden.txt").write_bytes(_libsvm_text().encode("ascii"))
+    data = sg.read_libsvm("golden.txt")
+    sg.write_libsvm(data, "written.txt")
+    code = cli_main(["fit", "--family", "logistic", "--data", "golden.txt", "--T", "10",
+                     "--output", "fit.txt"])
+    assert code == 0
+    got = {
+        "read": _sha256(data.X.tobytes() + data.y.tobytes()),
+        "write": _sha256((tmp_path / "written.txt").read_bytes()),
+        "cli-fit": _sha256((tmp_path / "fit.txt").read_bytes()),
+    }
+    assert got == GOLDEN_LIBSVM
