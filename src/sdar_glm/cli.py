@@ -203,78 +203,73 @@ def _cmd_path(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    header = [
-        "scheme", "n", "p", "K", "rho", "R", "solver", "T", "theta", "Q", "split",
-        "reps", "seed", "reerr", "acrp", "apdr", "afdr", "adr", "iters_avg",
-        "rep_failures", "error",
-    ]
+def _run_cells(columns, metrics, grid, prefix, configure, reps, output, train_fraction=None) -> int:
+    """Replicate every cell of `grid` and write one CSV row per cell.
+
+    A row is prefix(*cell), the report's `metrics` and its failure count.
+    configure(*cell) returns the cell's (SimConfig, solver config); a
+    ValueError from it or from run_replications blanks the metrics and fills
+    the row's error.  Exit code 2 when no cell had a replication succeed.
+    """
     rows = []
     any_ok = False
-    for n, p, k, rho, ratio in itertools.product(
-        args.n, args.p, args.K, args.rho, args.R
-    ):
-        t = args.T if args.T is not None else k
-        theta = args.theta if args.solver == "agsdar" else None
-        q = args.Q if args.solver == "agsdar" else None
-        cell = [args.scheme, n, p, k, rho, ratio, args.solver, t if args.solver == "gsdar" else None,
-                theta, q, args.split, args.reps, args.seed]
+    for cell in grid:
+        row = prefix(*cell)
         try:
-            sim = SimConfig(
-                n=n, p=p, k=k, rho=rho, range_ratio=ratio, scheme=args.scheme, seed=args.seed
-            )
-            if args.solver == "agsdar":
-                solver = AgsdarConfig(
-                    increment_theta=args.theta,
-                    max_support_q=args.Q,
-                    inner=SdarConfig(sparsity_t=1, step_size_tau=args.tau),
-                )
-            else:
-                solver = SdarConfig(sparsity_t=t, step_size_tau=args.tau)
-            report = run_replications(
-                sim, solver, args.reps, train_fraction=args.split
-            )
+            sim, solver = configure(*cell)
+            report = run_replications(sim, solver, reps, train_fraction=train_fraction)
         except ValueError as exc:
-            rows.append(cell + [None, None, None, None, None, None, None, str(exc)])
+            rows.append(row + [None] * (len(metrics) + 1) + [str(exc)])
             continue
-        failed_all = report.failures >= args.reps
-        rows.append(cell + [
-            report.reerr, report.acrp, report.apdr, report.afdr, report.adr,
-            report.iters_avg, report.failures,
-            "all replications failed" if failed_all else None,
+        failed_all = report.failures >= reps
+        rows.append(row + [getattr(report, m) for m in metrics] + [
+            report.failures, "all replications failed" if failed_all else None,
         ])
-        if not failed_all:
-            any_ok = True
-    _write_output(_csv_text(header, rows), args.output)
+        any_ok = any_ok or not failed_all
+    _write_output(_csv_text(columns + metrics + ["rep_failures", "error"], rows), output)
     return 0 if any_ok else 2
+
+
+def _cmd_simulate(args) -> int:
+    agsdar = args.solver == "agsdar"
+
+    def prefix(n, p, k, rho, ratio):
+        t = None if agsdar else (args.T if args.T is not None else k)
+        return [args.scheme, n, p, k, rho, ratio, args.solver, t,
+                args.theta if agsdar else None, args.Q if agsdar else None,
+                args.split, args.reps, args.seed]
+
+    def configure(n, p, k, rho, ratio):
+        sim = SimConfig(n=n, p=p, k=k, rho=rho, range_ratio=ratio, scheme=args.scheme, seed=args.seed)
+        if agsdar:
+            return sim, AgsdarConfig(
+                increment_theta=args.theta,
+                max_support_q=args.Q,
+                inner=SdarConfig(sparsity_t=1, step_size_tau=args.tau),
+            )
+        return sim, SdarConfig(sparsity_t=args.T if args.T is not None else k, step_size_tau=args.tau)
+
+    return _run_cells(
+        ["scheme", "n", "p", "K", "rho", "R", "solver", "T", "theta", "Q", "split", "reps", "seed"],
+        ["reerr", "acrp", "apdr", "afdr", "adr", "iters_avg"],
+        itertools.product(args.n, args.p, args.K, args.rho, args.R),
+        prefix, configure, args.reps, args.output, train_fraction=args.split,
+    )
 
 
 def _cmd_bench_iters(args) -> int:
-    header = ["scheme", "n", "p", "K", "rho", "R", "reps", "seed", "iters_avg",
-              "rep_failures", "error"]
-    rows = []
-    any_ok = False
-    for rho, k in itertools.product(args.rho, args.K):
-        cell = [SCHEME_AR1, args.n, args.p, k, rho, args.R, args.reps, args.seed]
-        try:
-            sim = SimConfig(
-                n=args.n, p=args.p, k=k, rho=rho, range_ratio=args.R,
-                scheme=SCHEME_AR1, seed=args.seed,
-            )
-            solver = SdarConfig(sparsity_t=k, step_size_tau=args.tau)
-            report = run_replications(sim, solver, args.reps)
-        except ValueError as exc:
-            rows.append(cell + [None, None, str(exc)])
-            continue
-        failed_all = report.failures >= args.reps
-        rows.append(cell + [
-            report.iters_avg, report.failures,
-            "all replications failed" if failed_all else None,
-        ])
-        if not failed_all:
-            any_ok = True
-    _write_output(_csv_text(header, rows), args.output)
-    return 0 if any_ok else 2
+    def prefix(rho, k):
+        return [SCHEME_AR1, args.n, args.p, k, rho, args.R, args.reps, args.seed]
+
+    def configure(rho, k):
+        sim = SimConfig(n=args.n, p=args.p, k=k, rho=rho, range_ratio=args.R,
+                        scheme=SCHEME_AR1, seed=args.seed)
+        return sim, SdarConfig(sparsity_t=k, step_size_tau=args.tau)
+
+    return _run_cells(
+        ["scheme", "n", "p", "K", "rho", "R", "reps", "seed"], ["iters_avg"],
+        itertools.product(args.rho, args.K), prefix, configure, args.reps, args.output,
+    )
 
 
 def _cmd_real_data(args) -> int:

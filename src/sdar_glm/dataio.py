@@ -14,8 +14,8 @@ read as they do in Python; the positivity, ordering and finiteness checks
 run on whole arrays; and a single assignment fills X.  When any check fails,
 the lines are walked again token by token and the LibsvmParseError of the
 first malformed line is raised, carrying its 1-based line number.  Problems
-of the file as a whole (no data lines, n_features below the largest index)
-carry line number 0.
+of the file as a whole (no data lines, n_features below the largest index,
+a dense X too large to allocate) carry line number 0.
 """
 
 from __future__ import annotations
@@ -91,7 +91,12 @@ def read_libsvm(path: str, n_features: int | None = None) -> Dataset:
         raise LibsvmParseError(0, f"n_features={p} is below the largest observed index {max_idx}")
     if p < 1:
         raise LibsvmParseError(0, "no features found")
-    X = np.zeros((y.size, p))
+    try:
+        X = np.zeros((y.size, p))
+    except (MemoryError, ValueError):  # ValueError: the size overflows the address type
+        raise LibsvmParseError(
+            0, f"a dense {y.size} x {p} design needs {y.size * p * 8} bytes, more than can be allocated"
+        ) from None
     X[rows, idx - 1] = val
     return Dataset(X, y)
 

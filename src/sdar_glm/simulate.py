@@ -12,6 +12,12 @@ Two design schemes:
   recursion z_1 = e_1, z_j = rho * z_{j-1} + sqrt(1 - rho^2) * e_j.
   Coefficients are uniform on (1, R), all positive.
 
+Both generators hold one n x p array: the normal draws are made into X and
+scaled there, and the AR(1) recursion runs in place on the scaled draws,
+column by column.  Every entry is the same two rounded products and one
+rounded sum as when the draws were kept apart, so the bits are the same.
+The banded mix adds only its n x (p - 2) neighbor sum.
+
 Replications split randomness by key, never by sequence: replication r uses
 streams (seed, r, 0..3) for design, coefficients, responses, and splitting.
 """
@@ -120,9 +126,10 @@ def gen_design_banded(
     if np.any(norms == 0.0):
         raise ValueError("degenerate zero column in the Gaussian draw")
     base *= math.sqrt(n) / norms
-    X = base.copy()
-    X[:, 1 : p - 1] += rho * (base[:, 2:] + base[:, : p - 2])
-    return X
+    mix = base[:, 2:] + base[:, : p - 2]
+    mix *= rho
+    base[:, 1 : p - 1] += mix
+    return base
 
 
 def gen_design_ar1(
@@ -132,12 +139,10 @@ def gen_design_ar1(
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     rng = as_rng(seed)
-    eps = rng.standard_normal((n, p))
-    X = np.empty((n, p))
-    X[:, 0] = eps[:, 0]
-    scale = math.sqrt(1.0 - rho * rho)
+    X = rng.standard_normal((n, p))
+    X[:, 1:] *= math.sqrt(1.0 - rho * rho)
     for j in range(1, p):
-        X[:, j] = rho * X[:, j - 1] + scale * eps[:, j]
+        X[:, j] += rho * X[:, j - 1]
     return X
 
 

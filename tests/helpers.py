@@ -1,5 +1,6 @@
-"""Shared instance builders for the test suite, and the per-token LIBSVM
-reader that read_libsvm is compared against.
+"""Shared instance builders for the test suite, and the reference
+implementations that faster library code is compared against: the per-token
+LIBSVM reader and the AR(1) design recursion over separate draws.
 
 All randomness flows through keyed Philox streams, so every instance is a
 pure function of its seed: stream 0 feeds the design, 1 the coefficients,
@@ -13,7 +14,7 @@ import numpy as np
 import sdar_glm as sg
 from sdar_glm.dataio import LibsvmParseError
 from sdar_glm.families import Dataset
-from sdar_glm.rng import make_rng
+from sdar_glm.rng import as_rng, make_rng
 
 
 def detectable_magnitude(n: int, p: int) -> float:
@@ -50,6 +51,18 @@ def orthogonal_design(seed: int, n: int, p: int) -> np.ndarray:
     raw = make_rng(seed, 0).standard_normal((n, p))
     q, _ = np.linalg.qr(raw)
     return q * math.sqrt(n)
+
+
+def ar1_design_with_separate_draws(n: int, p: int, rho: float, seed) -> np.ndarray:
+    """The AR(1) design as gen_design_ar1 computed it when it kept the draws
+    apart from X: z_1 = e_1, z_j = rho * z_{j-1} + sqrt(1 - rho^2) * e_j."""
+    eps = as_rng(seed).standard_normal((n, p))
+    X = np.empty((n, p))
+    X[:, 0] = eps[:, 0]
+    scale = math.sqrt(1.0 - rho * rho)
+    for j in range(1, p):
+        X[:, j] = rho * X[:, j - 1] + scale * eps[:, j]
+    return X
 
 
 def read_libsvm_per_token(path: str, n_features: int | None = None) -> Dataset:

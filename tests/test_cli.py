@@ -140,6 +140,14 @@ def test_missing_file_exits_one(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_a_design_too_large_to_allocate_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1 1:1.0 100000000000000:2.0\n", encoding="ascii")
+    code, _, err = run_cli(["fit", "--family", "logistic", "--data", str(path), "--T", "1"], capsys)
+    assert code == 1
+    assert err.startswith("error: line 0:") and "more than can be allocated" in err
+
+
 def test_unmappable_labels_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3 1:1.0\n0 1:2.0\n", encoding="ascii")

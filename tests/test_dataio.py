@@ -73,6 +73,22 @@ def test_read_rejects_an_index_beyond_int64(tmp_path):
     assert err.value.lineno == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # 8e14 bytes exceed any 47-bit address space, so the allocation
+        # fails at once without touching memory
+        ("1 1:1.0 100000000000000:2.0\n", "1 x 100000000000000 design needs 800000000000000 bytes"),
+        # 6.4e19 bytes exceed even the int64 size numpy can describe
+        ("1 4000000000000000000:1.0\n-1 1:1.0\n", "2 x 4000000000000000000 design needs 64000000000000000000 bytes"),
+    ],
+)
+def test_read_rejects_a_design_too_large_to_allocate(tmp_path, text, message):
+    with pytest.raises(sg.LibsvmParseError, match=message) as err:
+        parse(tmp_path, text)
+    assert err.value.lineno == 0
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n"])
 def test_read_rejects_files_without_data(tmp_path, text):
     with pytest.raises(sg.LibsvmParseError, match="no data lines") as err:

@@ -214,3 +214,98 @@ def test_libsvm_read_write_and_cli_fit_keep_their_bytes(tmp_path, monkeypatch):
         "cli-fit": _sha256((tmp_path / "fit.txt").read_bytes()),
     }
     assert got == GOLDEN_LIBSVM
+
+
+# --- simulated designs and the cell-runner CLI commands ---------------------
+
+# name -> (generator, n, p, rho, seed builder); the seed builders return an
+# int seed or a Generator, the two kinds of seed the generators accept
+DESIGN_CASES = {
+    "ar1-rho0-int": (sg.gen_design_ar1, 50, 40, 0.0, lambda: 11),
+    "ar1-rho0.3-gen": (sg.gen_design_ar1, 50, 40, 0.3, lambda: make_rng(12, 0)),
+    "ar1-rho0.9-int": (sg.gen_design_ar1, 50, 40, 0.9, lambda: 13),
+    "ar1-p1-gen": (sg.gen_design_ar1, 9, 1, 0.9, lambda: make_rng(14)),
+    "banded-rho0-gen": (sg.gen_design_banded, 50, 40, 0.0, lambda: make_rng(15, 0)),
+    "banded-rho0.3-int": (sg.gen_design_banded, 50, 40, 0.3, lambda: 16),
+    "banded-rho0.9-gen": (sg.gen_design_banded, 50, 40, 0.9, lambda: make_rng(17)),
+    "banded-p3-int": (sg.gen_design_banded, 9, 3, 0.3, lambda: 18),
+}
+
+# SHA-256 of X.tobytes(), recorded from the generators as they stood before
+# the AR(1) recursion and the banded mixing ran in place
+GOLDEN_DESIGNS = {
+    "ar1-rho0-int": "7180a275b0ed160f89b57c2f15a7d625a643a4aba8dff965a685f6c1498bd211",
+    "ar1-rho0.3-gen": "eb014594223abbc6ca73c3f4904a1a84d47043ab57c21dc1bca34f2d84e9d276",
+    "ar1-rho0.9-int": "79c3e659e403fc5bb3428aa4e8d85455420cebb711cfdc64414b8956aa42cde9",
+    "ar1-p1-gen": "5fe940f2dcddb40f12b46e1438db4e20fd52a01c35c4034e2c1bf0f965c8a547",
+    "banded-rho0-gen": "3818bad0c74944696c0e4bdeb8df30fc2dddefe3e7fca46ef3042dfa46249caf",
+    "banded-rho0.3-int": "e29e258c6bf64aba842fa7f7062f3143e03f7a4040fc653eb6839ed72816d55d",
+    "banded-rho0.9-gen": "e5f5da10f88e15292788210a304f7d5a56814b7c084808cc74ba45cff6ffedaa",
+    "banded-p3-int": "2e61be35ffcebc607a98c065da943a2898915d369b84219818435cf953f87b25",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_CASES))
+def test_design_keeps_its_bytes(name):
+    maker, n, p, rho, seed = DESIGN_CASES[name]
+    X = maker(n, p, rho, seed())
+    assert X.shape == (n, p) and X.dtype == np.float64 and X.flags["C_CONTIGUOUS"]
+    assert _sha256(X.tobytes()) == GOLDEN_DESIGNS[name]
+
+
+CLI_CELL_CASES = {
+    "simulate-ar1-grid": [
+        "simulate", "--scheme", "ar1", "--n", "40", "--p", "10", "--K", "2:18:20",
+        "--rho", "0:0.3:0.3", "--reps", "2", "--seed", "5",
+    ],
+    "simulate-banded-path-split": [
+        "simulate", "--scheme", "banded", "--n", "60", "--p", "30", "--K", "2", "--rho", "0.3",
+        "--solver", "agsdar", "--Q", "5", "--split", "0.7", "--reps", "2", "--seed", "4",
+    ],
+    "simulate-all-invalid": [
+        "simulate", "--scheme", "ar1", "--n", "5", "--p", "20", "--K", "10", "--reps", "2",
+    ],
+    "bench-iters-grid": [
+        "bench-iters", "--n", "20", "--p", "10", "--K", "2:9:11", "--rho", "0.5:0.5:1.0",
+        "--reps", "2", "--seed", "3",
+    ],
+    "bench-iters-all-invalid": ["bench-iters", "--n", "5", "--p", "3", "--K", "4", "--reps", "1"],
+}
+
+# argv whose every replication fails (the solver is replaced by one that raises)
+CLI_FAILING_CASES = {
+    "simulate-reps-fail": ["simulate", "--scheme", "ar1", "--n", "30", "--p", "8", "--K", "2",
+                           "--reps", "2"],
+    "bench-iters-reps-fail": ["bench-iters", "--n", "30", "--p", "8", "--K", "2", "--reps", "2"],
+}
+
+# (exit code, SHA-256 of stdout), recorded before simulate and bench-iters
+# shared one cell runner
+GOLDEN_CLI_CELLS = {
+    "simulate-ar1-grid": (0, "39ca00ce0ed91ca1aa71c52d6586e2903a74f5dfc0aa5c28416530c34043922d"),
+    "simulate-banded-path-split": (0, "ce648491f277ad5a2db43ad842e9f6163edaf9960eb59866698e3ae9841d56b2"),
+    "simulate-all-invalid": (2, "6306cd2d604ab775e3ef1c2dff24baba68b5ee54c300c72059f2da8ba026999f"),
+    "bench-iters-grid": (0, "96345ac3af493fab3ba967ef8d33e8cb3671755367695255a6d3d4cb8a72741a"),
+    "bench-iters-all-invalid": (2, "404d06f8486663908fdfa8f20b4740e0f41ab8b9c903d8f1d5d6f8002ae9788e"),
+    "simulate-reps-fail": (2, "0b67094055b2851027e890e5469aacd34892fddf8582cb0a1ce9d0ddf49a227a"),
+    "bench-iters-reps-fail": (2, "37caf67d75489868fec26b0ca4041954281fd97b525d4fd2c8f3e97e473ce24b"),
+}
+
+
+def _cli_stdout(argv, capsys):
+    code = cli_main(argv)
+    return code, _sha256(capsys.readouterr().out.encode("ascii"))
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CELL_CASES))
+def test_cell_commands_keep_their_bytes(name, capsys):
+    assert _cli_stdout(CLI_CELL_CASES[name], capsys) == GOLDEN_CLI_CELLS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_FAILING_CASES))
+def test_cell_commands_keep_their_bytes_when_every_replication_fails(name, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise sg.SingularSystemError([0])
+
+    monkeypatch.setattr("sdar_glm.simulate.gsdar_fit", boom)
+    assert _cli_stdout(CLI_FAILING_CASES[name], capsys) == GOLDEN_CLI_CELLS[name]

@@ -1,6 +1,7 @@
 """Synthetic designs, coefficient draws, recovery metrics, replication loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from scipy.special import expit
 
 import sdar_glm as sg
 from sdar_glm.rng import make_rng
+
+from helpers import ar1_design_with_separate_draws
 
 
 # --- configuration -----------------------------------------------------------
@@ -107,6 +110,35 @@ def test_designs_are_deterministic_in_the_seed(maker):
     c = maker(40, 6, 0.3, 124)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@given(
+    n=st.integers(1, 30),
+    p=st.integers(1, 30),
+    rho=st.sampled_from([0.0, 0.3, 0.9]) | st.floats(0.0, 0.999),
+    seed=st.integers(0, 2**32),
+)
+def test_ar1_in_place_recursion_matches_separate_draws_bit_for_bit(n, p, rho, seed):
+    got = sg.gen_design_ar1(n, p, rho, make_rng(seed))
+    want = ar1_design_with_separate_draws(n, p, rho, make_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "maker, bound",
+    # the AR(1) draw holds X alone; the banded mix adds one n x (p - 2) sum
+    [(sg.gen_design_ar1, 1.25), (sg.gen_design_banded, 2.25)],
+)
+def test_design_generators_allocate_few_n_by_p_arrays(maker, bound):
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    tracemalloc.start()
+    try:
+        X = maker(200, 5000, 0.3, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * X.nbytes
 
 
 def test_design_validation():
