@@ -15,7 +15,9 @@ run on whole arrays; and a single assignment fills X.  When any check fails,
 the lines are walked again token by token and the LibsvmParseError of the
 first malformed line is raised, carrying its 1-based line number.  Problems
 of the file as a whole (no data lines, n_features below the largest index,
-a dense X too large to allocate) carry line number 0.
+a dense X too large to allocate) carry line number 0.  Because every value
+is checked as it is parsed, the returned Dataset does not scan X again; the
+CLI's Dataset of the prepared design is the one scan.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def read_libsvm(path: str, n_features: int | None = None) -> Dataset:
             0, f"a dense {y.size} x {p} design needs {y.size * p * 8} bytes, more than can be allocated"
         ) from None
     X[rows, idx - 1] = val
-    return Dataset(X, y)
+    return Dataset(X, y, _x_checked=True)  # every value was checked finite above
 
 
 def _parse_lines(lines: list[str]) -> tuple[np.ndarray, ...] | None:

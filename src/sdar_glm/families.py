@@ -16,7 +16,7 @@ L >= 0 exact in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -81,7 +81,8 @@ class Logistic(GlmFamily):
         return mu * (1.0 - mu)
 
     def nll(self, y, theta):
-        return float(np.mean(self.cumulant(theta) - y * theta))
+        # sum / n: the bits of np.mean, without its wrapper
+        return float((self.cumulant(theta) - y * theta).sum() / theta.size)
 
     def check_response(self, y):
         y = np.asarray(y)
@@ -136,13 +137,16 @@ class Dataset:
 
     All entries must be finite.  n = 0 is allowed so that an empty test
     split is representable; solvers reject empty data themselves.
+    _x_checked is private to readers that check every entry of X as they
+    build it (read_libsvm); it skips the n x p scan of X, nothing else.
     """
 
     X: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...] | None = None
+    _x_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _x_checked):
         X = np.ascontiguousarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float).ravel()
         if X.ndim != 2:
@@ -151,7 +155,7 @@ class Dataset:
             raise ValueError("X must have at least one column")
         if y.shape[0] != X.shape[0]:
             raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-        if not np.all(np.isfinite(X)):
+        if not _x_checked and not np.isfinite(X).all():
             raise ValueError("X contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
@@ -171,7 +175,7 @@ class Dataset:
 
 def require_finite(theta: np.ndarray) -> np.ndarray:
     """Return theta, or raise NumericOverflowError naming its first non-finite entry."""
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NumericOverflowError(int(np.flatnonzero(~np.isfinite(theta))[0]))
     return theta
 

@@ -16,9 +16,11 @@ from below by T * log(log n) * log p, which grows with T.  The sweep stops
 before the first level whose bound reaches the smallest HBIC so far: no
 later level can beat that minimum, and a tie goes to the earlier level, so
 the selection is the one the full sweep makes.  PathResult.skipped lists
-the levels ruled out; AgsdarConfig(full_path=True) fits them anyway.  (A
-Gaussian fit that reproduces y can round L a few ulps below zero; only a
-tie at that rounding level could then differ from the full sweep.)
+the levels ruled out; AgsdarConfig(full_path=True) fits them anyway.
+
+A warm-started level starts from the previous fit's coefficients and from
+its dual, -grad L at those coefficients, which that fit computed at its
+last iterate; so each level after the first saves one pass over X.
 """
 
 from __future__ import annotations
@@ -140,10 +142,10 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
             skipped = tuple(range(t, q + 1, cfg.increment_theta))
             break
         inner = replace(cfg.inner, sparsity_t=t)
-        beta0 = prev_fit.beta_hat if cfg.warm_start else None
-        intercept0 = prev_fit.intercept if cfg.warm_start else 0.0
+        start = prev_fit if cfg.warm_start else null  # the null fit carries no dual
         try:
-            fit = gsdar_fit(family, data, inner, beta0=beta0, intercept0=intercept0)
+            fit = gsdar_fit(family, data, inner, beta0=start.beta_hat, intercept0=start.intercept,
+                            _dual0=start.dual)
         except (SingularSystemError, NumericOverflowError) as exc:
             failures.append((t, str(exc)))
             t += cfg.increment_theta

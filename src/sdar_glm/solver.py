@@ -9,12 +9,22 @@ stationary point, so iteration stops as soon as the detected support
 repeats.  Revisiting any earlier support (a cycle) or exhausting the
 iteration budget also terminates, returning the best iterate seen, which
 makes termination unconditional.
+
+The restricted Newton systems are small (|support| plus the intercept
+columns) and are solved by calling LAPACK's Cholesky routines directly:
+?potrf factors, ?pocon estimates the reciprocal condition number and
+warns (LinAlgWarning) below machine epsilon, ?potrs solves.  These are the
+calls scipy.linalg.solve(assume_a="pos") makes, with the same triangle,
+so the steps are the same bits, without its per-call validation and
+batching overhead.  Each line-search candidate's linear predictor is kept
+and reused by the Newton step taken from it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -118,6 +128,10 @@ class SdarState:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted model.  dual is -grad L at (beta_hat, intercept), the vector
+    the certificate was computed from; a warm-started path level starts
+    from it instead of recomputing it."""
+
     beta_hat: np.ndarray
     support: np.ndarray
     nll: float
@@ -125,6 +139,7 @@ class FitResult:
     iters: int
     termination: Termination
     intercept: float = 0.0
+    dual: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def top_t_support(v: np.ndarray, t: int) -> np.ndarray:
@@ -146,15 +161,45 @@ def top_t_support(v: np.ndarray, t: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+_potrf, _potrs, _pocon, _lange = sla.get_lapack_funcs(
+    ("potrf", "potrs", "pocon", "lange"), dtype=np.float64
+)
+_EPS = np.finfo(np.float64).eps
+
+
+def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with H x = rhs for a symmetric H, bit for bit as
+    scipy.linalg.solve(H, rhs, assume_a="pos") computes it.
+
+    Non-finite input raises ValueError, a factorization that fails raises
+    LinAlgError, and a reciprocal condition number below machine epsilon
+    warns with LinAlgWarning.  A 1 x 1 system is a division, as in scipy.
+    """
+    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if H.shape == (1, 1):
+        if H[0, 0] == 0.0:
+            raise np.linalg.LinAlgError("A singular matrix detected.")
+        return rhs / H[0, 0]
+    c, info = _potrf(H, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    rcond, _ = _pocon(c, _lange("1", H.T))  # H.T: the same norm, read without a copy
+    if rcond < _EPS:
+        warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond}.", sla.LinAlgWarning,
+                      stacklevel=2)
+    return _potrs(c, rhs)[0]
+
+
 def _solve_newton_system(H, g, cfg, active):
     """Solve H step = -g, retrying once with a ridge on failure."""
     try:
-        return sla.solve(H, -g, assume_a="pos")
+        return _cholesky_solve(H, -g)
     except np.linalg.LinAlgError:
         pass
     H_jittered = H + cfg.ridge_jitter * np.eye(H.shape[0])
     try:
-        return sla.solve(H_jittered, -g, assume_a="pos")
+        return _cholesky_solve(H_jittered, -g)
     except np.linalg.LinAlgError:
         raise SingularSystemError(active) from None
 
@@ -173,8 +218,12 @@ def restricted_mle(
     ||g||_inf <= newton_grad_tol, otherwise the best iterate found within
     newton_max_iters.  For the logistic family every iterate is clipped to
     [-coef_cap, coef_cap] componentwise, which keeps separable data finite.
-    A singular Newton system gets one ridge_jitter retry before raising
-    SingularSystemError.
+    Each Newton system is solved by a direct Cholesky factorization (see
+    the module docstring), which warns when its reciprocal condition number
+    is below machine epsilon; a singular one gets one ridge_jitter retry
+    before raising SingularSystemError.  The linear predictor of the
+    accepted line-search candidate is the next Newton step's, so every
+    value evaluation costs one product with the active columns.
     """
     active = np.asarray(active, dtype=int)
     if active.size == 0:
@@ -188,21 +237,18 @@ def restricted_mle(
     n = data.n
     cap = cfg.coef_cap if family.name == "logistic" else None
 
-    def theta_of(b):
-        return require_finite(Xa @ b)
-
-    b = np.asarray(init, dtype=float).copy()
+    b = np.array(init, dtype=float)
     if b.shape != (active.size,):
         raise ValueError(f"init must have shape ({active.size},), got {b.shape}")
     if cap is not None:
-        np.clip(b, -cap, cap, out=b)
-    fb = family.nll(y, theta_of(b))
-    best_b, best_f = b.copy(), fb
+        _clip(b, cap)
+    theta = require_finite(Xa @ b)
+    fb = family.nll(y, theta)
+    best_b, best_f = b, fb  # iterates are never written after they are made
 
     for _ in range(cfg.newton_max_iters):
-        theta = theta_of(b)
         g = Xa.T @ (family.mean(theta) - y) / n
-        if np.max(np.abs(g)) <= cfg.newton_grad_tol:
+        if np.abs(g).max() <= cfg.newton_grad_tol:
             return b
         H = weighted_gram(Xa, family.variance(theta), n)
         step = _solve_newton_system(H, g, cfg, active)
@@ -210,22 +256,27 @@ def restricted_mle(
         if slope >= 0.0:
             break  # numerically flat: no descent direction left
         t = 1.0
-        accepted = False
         while t >= 2.0**-40:
             cand = b + t * step
             if cap is not None:
-                np.clip(cand, -cap, cap, out=cand)
-            fc = family.nll(y, theta_of(cand))
+                _clip(cand, cap)
+            theta_c = require_finite(Xa @ cand)
+            fc = family.nll(y, theta_c)
             if fc <= fb + 1e-4 * t * slope:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break  # the cap or rounding blocked all progress
-        b, fb = cand, fc
+        b, fb, theta = cand, fc, theta_c
         if fb < best_f:
-            best_f, best_b = fb, b.copy()
+            best_f, best_b = fb, b
     return best_b
+
+
+def _clip(b: np.ndarray, cap: float) -> None:
+    """b clipped to [-cap, cap] in place; the same bits as np.clip."""
+    np.maximum(b, -cap, out=b)
+    np.minimum(b, cap, out=b)
 
 
 def _detect_support(state: SdarState, cfg: SdarConfig) -> np.ndarray:
@@ -314,6 +365,8 @@ def gsdar_fit(
     cfg: SdarConfig,
     beta0: np.ndarray | None = None,
     intercept0: float = 0.0,
+    *,
+    _dual0: np.ndarray | None = None,
 ) -> FitResult:
     """Run outer iterations from beta0 (default 0) until the support settles.
 
@@ -324,7 +377,10 @@ def gsdar_fit(
 
     A fit reads all of X once for the initial dual and once per outer
     iteration, and never copies it; the returned certificate reuses the
-    dual of the chosen iterate.
+    dual of the chosen iterate, which the result carries as `dual`.  The
+    sparsity path hands that dual to the next level as _dual0, the initial
+    dual at (beta0, intercept0), so a warm-started level skips its first
+    pass over X; _dual0 is trusted, not checked.
     """
     if data.n < 1:
         raise ValueError("data must contain at least one observation")
@@ -346,7 +402,7 @@ def gsdar_fit(
 
     state = SdarState(
         beta=beta,
-        dual=-gradient(family, data, beta, intercept),
+        dual=-gradient(family, data, beta, intercept) if _dual0 is None else _dual0,
         active=np.empty(0, dtype=int),
         iteration=0,
         intercept=intercept,
@@ -385,4 +441,5 @@ def gsdar_fit(
         iters=state.iteration,
         termination=termination,
         intercept=chosen.intercept,
+        dual=d,
     )

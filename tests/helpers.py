@@ -1,6 +1,7 @@
 """Shared instance builders for the test suite, and the reference
 implementations that faster library code is compared against: the per-token
-LIBSVM reader and the AR(1) design recursion over separate draws.
+LIBSVM reader, the AR(1) design recursion over separate draws, and the
+Newton-system solve through scipy.linalg.solve.
 
 All randomness flows through keyed Philox streams, so every instance is a
 pure function of its seed: stream 0 feeds the design, 1 the coefficients,
@@ -10,6 +11,7 @@ pure function of its seed: stream 0 feeds the design, 1 the coefficients,
 import math
 
 import numpy as np
+from scipy import linalg as sla
 
 import sdar_glm as sg
 from sdar_glm.dataio import LibsvmParseError
@@ -63,6 +65,12 @@ def ar1_design_with_separate_draws(n: int, p: int, rho: float, seed) -> np.ndarr
     for j in range(1, p):
         X[:, j] = rho * X[:, j - 1] + scale * eps[:, j]
     return X
+
+
+def newton_solve_reference(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The restricted Newton system solve as the solver made it before it
+    called LAPACK's Cholesky routines directly."""
+    return sla.solve(H, rhs, assume_a="pos")
 
 
 def read_libsvm_per_token(path: str, n_features: int | None = None) -> Dataset:

@@ -107,6 +107,36 @@ def test_fit_output_is_byte_deterministic_and_file_matches_stdout(tmp_path, caps
     assert out_path.read_text(encoding="ascii") == first
 
 
+@pytest.mark.parametrize("standardize", ["none", "mean0var1", "length-sqrt-n"])
+def test_fit_checks_the_design_for_finiteness_once(tmp_path, capsys, monkeypatch, standardize):
+    data_path = planted_file(tmp_path)  # 80 x 6
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x) == (80, 6):
+            scans.append(1)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    argv = ["fit", "--family", "logistic", "--data", data_path, "--T", "2",
+            "--standardize", standardize]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(scans) == 1  # read_libsvm checked each value while parsing
+
+
+def test_read_libsvm_keeps_its_dataset_checks(tmp_path):
+    path = tmp_path / "nan-label.txt"
+    path.write_text("nan 1:1.0\n1 2:1.0\n", encoding="ascii")
+    with pytest.raises(ValueError, match="y contains non-finite"):
+        sg.read_libsvm(str(path))
+    data = sg.read_libsvm(planted_file(tmp_path))
+    data.X[3, 2] = np.inf  # the reader's design itself: only the reader may skip the scan
+    with pytest.raises(ValueError, match="X contains non-finite"):
+        sg.Dataset(data.X, data.y)
+
+
 def test_gaussian_fit_reports_no_accuracy(tmp_path, capsys):
     rng = make_rng(3)
     data = sg.Dataset(rng.standard_normal((30, 4)), rng.standard_normal(30))

@@ -1,6 +1,7 @@
 """Golden regression: seeded fits keep their supports, terminations and
-iteration counts exactly, and their intercepts to rel 1e-10; LIBSVM reading,
-writing and the CLI fit on a seeded file keep their bytes exactly.
+iteration counts exactly, and their intercepts to rel 1e-10; whole fitted
+paths keep every byte of every level; LIBSVM reading, writing and the CLI fit
+on a seeded file keep their bytes exactly.
 
 The expected values in GOLDEN were recorded from the solver as it stood
 before the one-pass refactor (sparse linear predictor, implicit intercept,
@@ -162,6 +163,79 @@ def test_c6_path_selects_the_full_sweep_model_from_few_levels():
     _assert_matches(_summary(result.selected_fit), want_fit)
     fitted = len(result.fits) - 1 + len(result.failures)  # the null point is not fitted
     assert fitted <= 20  # the full sweep fits 66
+
+
+# --- whole paths, byte for byte ----------------------------------------------
+
+# name -> (family, data builder, AgsdarConfig); every level up to the default
+# budget is fitted (66 for C6, 25 for the Gaussian paths at n = 120)
+PATH_BYTE_CASES = {
+    **{
+        f"c6-rep{rep}": (sg.LOGISTIC, lambda rep=rep: sg.generate_instance(C6_SIM, rep)[0],
+                         sg.AgsdarConfig(full_path=True))
+        for rep in range(4)
+    },
+    **{
+        f"gaussian-intercept-{seed}": (
+            sg.GAUSSIAN, lambda seed=seed: _shifted(gaussian_instance(seed, 120, 200, 5)[0], 1.5),
+            sg.AgsdarConfig(full_path=True, inner=sg.SdarConfig(sparsity_t=1, with_intercept=True)),
+        )
+        for seed in (3, 6)
+    },
+}
+
+
+def _path_sha256(result):
+    """SHA-256 over the selected level and, level by level, t, support,
+    beta_hat, nll, certificate, iterations, intercept, termination and HBIC,
+    then every failure."""
+    h = hashlib.sha256(np.int64(result.selected_t).tobytes())
+    for pt in result.fits:
+        fit = pt.fit
+        for part in (np.int64(pt.t), np.asarray(fit.support, dtype=np.int64), fit.beta_hat,
+                     np.float64(fit.nll), np.float64(fit.kkt_residual), np.int64(fit.iters),
+                     np.float64(fit.intercept)):
+            h.update(part.tobytes())
+        h.update(fit.termination.value.encode("ascii"))
+        h.update(np.float64(pt.hbic).tobytes())
+    for t, message in result.failures:
+        h.update(np.int64(t).tobytes())
+        h.update(message.encode("ascii"))
+    return h.hexdigest()
+
+
+# recorded before the direct Cholesky solve, the reused line-search theta and
+# the dual handed from level to level
+GOLDEN_PATH_BYTES = {
+    "c6-rep0": "7060693a65d456b6ac48cc6394f38bc9a0072a6bda31bc5fcba595ea592f9a40",
+    "c6-rep1": "5de5290617791d001093569752e10520184738720b238924bd74bd6815304c84",
+    "c6-rep2": "0d932fb5d1718095fadfd22cbbc58d2cf2eabf47c26d46b07319f342817c016f",
+    "c6-rep3": "09765e1baa3d1e6337d08e9af0d8526c7d11bfbe9c0160bac1b017e84c38aa70",
+    "gaussian-intercept-3": "a2cdf82a7e7ed98f447bac4f39fe4c2a81a4ef545a10a7514f144dfaf0d58ae2",
+    "gaussian-intercept-6": "66bd252ed174ba74fe9030675114fc4b7d098082f809603cb37a5554796d04fc",
+}
+
+# MetricReport of 6 C6 replications under the default (early-stopped) path,
+# recorded at the same time
+GOLDEN_C6_REPORT = sg.MetricReport(
+    reerr=1.5462588747944375,
+    acrp=0.9770833333333333,
+    apdr=1.0,
+    afdr=0.24956709956709955,
+    adr=1.7504329004329005,
+    iters_avg=1.0,
+    failures=0,
+)
+
+
+@pytest.mark.parametrize("name", sorted(PATH_BYTE_CASES))
+def test_full_path_keeps_its_bytes(name):
+    family, build, cfg = PATH_BYTE_CASES[name]
+    assert _path_sha256(sg.agsdar_fit(family, build(), cfg)) == GOLDEN_PATH_BYTES[name]
+
+
+def test_c6_replications_keep_their_report():
+    assert sg.run_replications(C6_SIM, sg.AgsdarConfig(), reps=6) == GOLDEN_C6_REPORT
 
 
 def _libsvm_text(seed=21, n=150, p=40):

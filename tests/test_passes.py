@@ -1,15 +1,18 @@
 """Work a fit does: full passes over X, the size of every linear predictor,
-and the memory an intercept fit allocates.  Counts, never wall-clock time."""
+the Newton steps and value evaluations of the restricted solves, and the
+memory an intercept fit allocates.  Counts, never wall-clock time."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sdar_glm as sg
-from sdar_glm import families, solver
+from sdar_glm import families, path, solver
 
 from helpers import gaussian_instance, logistic_instance
+from test_golden import C6_REP, C6_SIM, CASES as GOLDEN_CASES, PATH_BYTE_CASES, PATH_CASE
 
 CASES = [
     (sg.LOGISTIC, lambda: logistic_instance(1, 150, 40, 4)[0], 4),
@@ -70,6 +73,59 @@ def test_every_linear_predictor_of_a_fit_is_sparse(monkeypatch, family, build, t
     assert calls
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_fit_carries_the_dual_at_its_coefficients(name):
+    family, build, kwargs = GOLDEN_CASES[name]
+    data = build()
+    fit = sg.gsdar_fit(family, data, sg.SdarConfig(**kwargs))
+    want = -families.gradient(family, data, fit.beta_hat, fit.intercept)
+    assert fit.dual.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+@pytest.mark.parametrize("name", ["c6-rep1", "gaussian-intercept-3"])
+def test_path_makes_one_gradient_pass_per_outer_iteration_plus_one_per_cold_start(
+    monkeypatch, name, warm_start
+):
+    family, build, full = PATH_BYTE_CASES[name]
+    data = build()
+    calls = _counting(monkeypatch, solver, "gradient")
+    res = sg.agsdar_fit(family, data, replace(full, max_support_q=12, warm_start=warm_start))
+    levels = len(res.fits) - 1  # the null point is not fitted
+    assert levels == 12
+    iters = sum(pt.fit.iters for pt in res.fits)
+    # a warm-started level starts from the dual its predecessor handed over
+    assert len(calls) == (1 if warm_start else levels) + iters
+
+
+def test_level_after_a_failure_starts_from_the_last_success(monkeypatch):
+    family, build, full = PATH_BYTE_CASES["c6-rep1"]
+    data = build()
+    fit_level = path.gsdar_fit
+
+    def fail_at_three(family, data, cfg, *args, **kwargs):
+        if cfg.sparsity_t == 3:
+            raise sg.SingularSystemError([0, 1, 2])
+        return fit_level(family, data, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(path, "gsdar_fit", fail_at_three)
+    calls = _counting(monkeypatch, solver, "gradient")
+    res = sg.agsdar_fit(family, data, replace(full, max_support_q=5))
+    assert [t for t, _ in res.failures] == [3]
+    fits = {pt.t: pt.fit for pt in res.fits}
+    assert sorted(fits) == [0, 1, 2, 4, 5]
+    assert len(calls) == 1 + sum(fit.iters for fit in fits.values())
+    # level 4 is the fit that starts from level 2's coefficients and
+    # computes its own initial dual
+    want = fit_level(family, data, sg.SdarConfig(sparsity_t=4), beta0=fits[2].beta_hat,
+                     intercept0=fits[2].intercept)
+    got = fits[4]
+    assert got.beta_hat.tobytes() == want.beta_hat.tobytes()
+    assert (got.nll, got.kkt_residual, got.iters, got.termination) == (
+        want.nll, want.kkt_residual, want.iters, want.termination
+    )
+
+
 def test_dense_beta_falls_back_to_the_full_product():
     data, _, _ = logistic_instance(4, 30, 50, 3)
     beta = np.linspace(-0.1, 0.1, 50)  # 50 nonzeros > n = 30
@@ -102,3 +158,66 @@ def test_intercept_fit_does_not_copy_x():
         tracemalloc.stop()
     assert peak < X.nbytes / 4
     assert certificate == fit.kkt_residual
+
+
+def _counting_family(family):
+    """A copy of `family` that counts Newton steps (variance calls) and value
+    evaluations (nll calls, and the cumulant calls the logistic nll makes)."""
+    calls = {"variance": 0, "cumulant": 0, "nll": 0}
+
+    class Counting(type(family)):
+        def variance(self, theta):
+            calls["variance"] += 1
+            return super().variance(theta)
+
+        def cumulant(self, theta):
+            calls["cumulant"] += 1
+            return super().cumulant(theta)
+
+        def nll(self, y, theta):
+            calls["nll"] += 1
+            return super().nll(y, theta)
+
+    return Counting(), calls
+
+
+# (variance, cumulant, nll) calls of the golden fits, the golden path and the
+# default C6 path, recorded before the direct Cholesky solve and the reused
+# line-search theta; the Gaussian nll is the residual form, without c(theta)
+GOLDEN_WORK = {
+    "gaussian-budget": (1, 0, 3),
+    "gaussian-cycle": (3, 0, 9),
+    "gaussian-cycle-intercept": (4, 0, 12),
+    "gaussian-iid": (1, 0, 3),
+    "gaussian-intercept": (2, 0, 6),
+    "gaussian-overfit": (8, 0, 24),
+    "logistic-ar1": (20, 28, 28),
+    "logistic-ar1-intercept": (31, 107, 107),
+    "logistic-ar1-tau": (7, 9, 9),
+    "logistic-iid-a": (6, 8, 8),
+    "logistic-iid-b": (6, 8, 8),
+    "logistic-intercept": (5, 7, 7),
+    "path": (29, 46, 46),
+    "c6-path": (57, 207, 207),
+}
+
+
+def _run_counted(name):
+    if name == "path":
+        family, build = PATH_CASE
+        inner = sg.SdarConfig(sparsity_t=1, with_intercept=True)
+        counted, calls = _counting_family(family)
+        sg.agsdar_fit(counted, build(), sg.AgsdarConfig(max_support_q=8, inner=inner))
+    elif name == "c6-path":
+        counted, calls = _counting_family(sg.LOGISTIC)
+        sg.agsdar_fit(counted, sg.generate_instance(C6_SIM, C6_REP)[0], sg.AgsdarConfig())
+    else:
+        family, build, kwargs = GOLDEN_CASES[name]
+        counted, calls = _counting_family(family)
+        sg.gsdar_fit(counted, build(), sg.SdarConfig(**kwargs))
+    return calls["variance"], calls["cumulant"], calls["nll"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORK))
+def test_golden_fits_take_their_recorded_newton_steps_and_evaluations(name):
+    assert _run_counted(name) == GOLDEN_WORK[name]

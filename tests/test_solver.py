@@ -1,17 +1,25 @@
 """Solver mechanics: support detection, restricted Newton,
 outer iteration, termination, and the stationarity certificate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg as sla
 from scipy.special import expit
 
 import sdar_glm as sg
-from sdar_glm.families import gradient, negative_log_likelihood
+from sdar_glm.families import gradient, negative_log_likelihood, weighted_gram
 from sdar_glm.rng import make_rng
-from sdar_glm.solver import SdarState, restricted_mle
+from sdar_glm.solver import SdarState, _cholesky_solve, _solve_newton_system, restricted_mle
 
-from helpers import gaussian_instance, logistic_instance, orthogonal_design
+from helpers import (
+    gaussian_instance,
+    logistic_instance,
+    newton_solve_reference,
+    orthogonal_design,
+)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -168,6 +176,112 @@ def test_singular_intercept_solve_names_the_intercept_as_column_p():
     with pytest.raises(sg.SingularSystemError) as err:
         sg.gsdar_fit(sg.GAUSSIAN, data, cfg)
     assert err.value.active.tolist() == [2, 4]
+
+
+# --- the Newton-system solve against scipy.linalg.solve(assume_a="pos") -----
+
+def solve_outcome(solve, H, rhs):
+    """(solution bytes or None, exception type or None, whether a
+    LinAlgWarning was emitted) of solve(H, rhs)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            x, error = solve(H, rhs).tobytes(), None
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            x, error = None, type(exc)
+    warned = any(issubclass(w.category, sla.LinAlgWarning) for w in caught)
+    return x, error, warned
+
+
+def _system(kind, k, seed):
+    """A symmetric k x k system of the given kind, and a right-hand side."""
+    rng = make_rng(seed, k)
+    rhs = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "gram":  # as the solver builds them, from a logistic weight
+        n = k + int(rng.integers(0, 40))
+        X = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-2, 2, k)
+        return weighted_gram(X, expit(3.0 * rng.standard_normal(n)) * 0.5, n), rhs
+    if kind == "rank-deficient":  # fewer rows than columns, or a repeated column
+        n = int(rng.integers(1, k + 1))
+        X = rng.standard_normal((n, k))
+        if k > 1:
+            X[:, -1] = X[:, 0]
+        return weighted_gram(X, np.ones(n), n), rhs
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    if kind == "ill":  # condition number 1e15 to 1e19, about 1 / eps
+        eig = 10.0 ** -rng.uniform(0.0, 15.0, k)
+        eig[0], eig[-1] = 1.0, 10.0 ** -rng.uniform(15.0, 19.0)
+    else:  # "indefinite": one negative eigenvalue, of any size
+        eig = rng.uniform(0.1, 2.0, k)
+        eig[int(rng.integers(k))] = -(10.0 ** rng.uniform(-20, 0))
+    H = (Q * eig) @ Q.T
+    return 0.5 * (H + H.T), rhs
+
+
+KINDS = ["gram", "rank-deficient", "ill", "indefinite"]
+
+
+@settings(deadline=None, max_examples=400)
+@given(kind=st.sampled_from(KINDS), k=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+def test_cholesky_solve_matches_scipy_bit_for_bit(kind, k, seed):
+    H, rhs = _system(kind, k, seed)
+    want = solve_outcome(newton_solve_reference, H, rhs)
+    assert solve_outcome(_cholesky_solve, H, rhs) == want
+    # the same systems end in SingularSystemError when no jitter is allowed
+    cfg = sg.SdarConfig(sparsity_t=1, ridge_jitter=0.0)
+    if want[1] is np.linalg.LinAlgError:
+        with pytest.raises(sg.SingularSystemError):
+            _solve_newton_system(H, -rhs, cfg, np.arange(k))
+    else:
+        got = solve_outcome(lambda H, g: _solve_newton_system(H, g, cfg, np.arange(k)), H, -rhs)
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "kind, k, seed, outcome",
+    [
+        ("gram", 8, 1, "solved"),
+        ("ill", 4, 3, "warned"),
+        ("ill", 2, 1, "singular"),
+        ("rank-deficient", 2, 1, "singular"),
+        ("indefinite", 2, 1, "singular"),
+        ("indefinite", 3, 2, "warned"),  # the tiny negative eigenvalue rounds away
+    ],
+)
+def test_cholesky_solve_covers_every_outcome(kind, k, seed, outcome):
+    # the property above is only as good as the systems it sees: each kind
+    # of outcome occurs
+    H, rhs = _system(kind, k, seed)
+    x, error, warned = solve_outcome(_cholesky_solve, H, rhs)
+    assert (x is not None, error is np.linalg.LinAlgError, warned) == {
+        "solved": (True, False, False),
+        "warned": (True, False, True),
+        "singular": (False, True, False),
+    }[outcome]
+
+
+@pytest.mark.parametrize(
+    "H, rhs",
+    [
+        (np.array([[4.0]]), np.array([2.0])),
+        (np.array([[-4.0]]), np.array([2.0])),  # 1 x 1 is a division, as in scipy
+        (np.array([[0.0]]), np.array([2.0])),
+        (np.array([[2.0, np.nan], [np.nan, 2.0]]), np.ones(2)),
+        (np.array([[np.inf]]), np.ones(1)),
+        (np.eye(3), np.array([1.0, np.inf, 0.0])),
+        (np.eye(3), np.array([1.0, np.nan, 0.0])),
+    ],
+)
+def test_cholesky_solve_edge_cases_match_scipy(H, rhs):
+    assert solve_outcome(_cholesky_solve, H, rhs) == solve_outcome(newton_solve_reference, H, rhs)
+
+
+def test_non_finite_newton_system_raises_value_error():
+    cfg = sg.SdarConfig(sparsity_t=1)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _solve_newton_system(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2), cfg, [0, 1])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _solve_newton_system(np.eye(2), np.array([np.inf, 0.0]), cfg, [0, 1])
 
 
 @pytest.mark.parametrize(
