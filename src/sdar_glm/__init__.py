@@ -15,7 +15,6 @@ from .families import (
     NumericOverflowError,
     get_family,
     gradient,
-    hessian_active,
     linear_predictor,
     negative_log_likelihood,
 )
@@ -32,7 +31,6 @@ from .solver import (
     top_t_support,
 )
 from .path import AgsdarConfig, PathPoint, PathResult, agsdar_fit, hbic
-from .oracle import OracleResult, best_subset_exhaustive, finite_difference_gradient
 from .simulate import (
     MetricReport,
     SCHEME_AR1,

@@ -26,13 +26,13 @@ from .dataio import (
     standardize_columns,
     train_test_split,
 )
-from .families import Dataset, NumericOverflowError, get_family, linear_predictor
+from .families import Dataset, NumericOverflowError, get_family
 from .path import AgsdarConfig, agsdar_fit
 from .simulate import (
     SCHEME_AR1,
     SCHEME_BANDED,
     SimConfig,
-    metric_acrp,
+    fit_accuracy,
     run_replications,
 )
 from .solver import SdarConfig, SingularSystemError, gsdar_fit
@@ -117,6 +117,16 @@ def _add_solver_flags(sub):
     sub.add_argument("--intercept", action="store_true", help="fit an unpenalized intercept")
 
 
+def _solver_config(args, t: int) -> SdarConfig:
+    """The SdarConfig of the solver flags, at sparsity level t."""
+    return SdarConfig(
+        sparsity_t=t,
+        step_size_tau=args.tau,
+        max_outer_iters=args.max_outer_iters,
+        with_intercept=args.intercept,
+    )
+
+
 def _prepare(data, family, standardize) -> Dataset:
     """A dataset as read from LIBSVM, made ready to fit: labels mapped to
     {0, 1} for the logistic family, columns rescaled when asked."""
@@ -125,21 +135,10 @@ def _prepare(data, family, standardize) -> Dataset:
     return Dataset(X, y)
 
 
-def _train_accuracy(fit, data) -> float:
-    labels = (linear_predictor(data, fit.beta_hat, fit.intercept) >= 0.0).astype(float)
-    return metric_acrp(labels, data.y)
-
-
 def _cmd_fit(args) -> int:
     family = get_family(args.family)
     data = _prepare(read_libsvm(args.data, n_features=args.n_features), family, args.standardize)
-    cfg = SdarConfig(
-        sparsity_t=args.T,
-        step_size_tau=args.tau,
-        max_outer_iters=args.max_outer_iters,
-        with_intercept=args.intercept,
-    )
-    fit = gsdar_fit(family, data, cfg)
+    fit = gsdar_fit(family, data, _solver_config(args, args.T))
     lines = [
         SCHEMA_LINE,
         "command: fit",
@@ -156,7 +155,7 @@ def _cmd_fit(args) -> int:
         "support_1based: " + " ".join(str(int(i) + 1) for i in fit.support),
     ]
     if family.name == "logistic":
-        lines.append(f"train_accuracy: {_fmt(_train_accuracy(fit, data))}")
+        lines.append(f"train_accuracy: {_fmt(fit_accuracy(fit, data))}")
     for i in fit.support:
         lines.append(f"coef[{int(i) + 1}]: {_fmt(float(fit.beta_hat[i]))}")
     _write_output("\n".join(lines) + "\n", args.output)
@@ -173,12 +172,7 @@ def _cmd_path(args) -> int:
         change_below=args.stop_change,
         warm_start=not args.cold_start,
         full_path=args.full_path,
-        inner=SdarConfig(
-            sparsity_t=1,
-            step_size_tau=args.tau,
-            max_outer_iters=args.max_outer_iters,
-            with_intercept=args.intercept,
-        ),
+        inner=_solver_config(args, 1),
     )
     result = agsdar_fit(family, data, cfg)
     header = ["T", "support_size", "nll", "hbic", "iters", "termination", "selected", "error"]
@@ -286,17 +280,13 @@ def _cmd_real_data(args) -> int:
         train, test = train_test_split(train, train_size=args.train_size, seed=args.seed)
 
     n_train = train.n
-    t = args.T if args.T is not None else max(1, int(0.5 * n_train / math.log(n_train)))
-    cfg = SdarConfig(
-        sparsity_t=t,
-        step_size_tau=args.tau,
-        max_outer_iters=args.max_outer_iters,
-        with_intercept=args.intercept,
-    )
-    fit = gsdar_fit(family, train, cfg)
-    train_acc = _train_accuracy(fit, train) if family.name == "logistic" else None
+    t = args.T
+    if t is None:  # floor(0.5 n / log n), at least 1; log 1 = 0
+        t = max(1, int(0.5 * n_train / math.log(n_train))) if n_train > 1 else 1
+    fit = gsdar_fit(family, train, _solver_config(args, t))
+    train_acc = fit_accuracy(fit, train) if family.name == "logistic" else None
     test_acc = (
-        _train_accuracy(fit, test)
+        fit_accuracy(fit, test)
         if (family.name == "logistic" and test is not None and test.n > 0)
         else None
     )

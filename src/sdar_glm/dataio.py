@@ -239,7 +239,7 @@ def pad_features(data: Dataset, p: int) -> Dataset:
         return data
     X = np.zeros((data.n, p))
     X[:, : data.p] = data.X
-    return Dataset(X, data.y)
+    return Dataset(X, data.y, _x_checked=True)  # data.X is finite, and so are zeros
 
 
 def train_test_split(
@@ -267,8 +267,7 @@ def train_test_split(
     perm = as_rng(seed).permutation(data.n)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
-    names = data.feature_names
-    return (
-        Dataset(data.X[train_idx], data.y[train_idx], names),
-        Dataset(data.X[test_idx], data.y[test_idx], names),
+    return (  # rows of a Dataset's X are finite
+        Dataset(data.X[train_idx], data.y[train_idx], _x_checked=True),
+        Dataset(data.X[test_idx], data.y[test_idx], _x_checked=True),
     )

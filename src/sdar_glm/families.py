@@ -1,4 +1,4 @@
-"""Exponential-family losses: values, gradients, and active-set Hessians.
+"""Exponential-family losses: values, gradients, and restricted Hessians.
 
 Everything the solver needs from a GLM is the cumulant c(theta) of the
 response family together with its first two derivatives.  The negative
@@ -9,9 +9,10 @@ log-likelihood of a coefficient vector beta on data (X, y) is
 
 which is convex in beta because c is convex.  Two families are provided:
 logistic (Bernoulli, d = 0) and Gaussian with unit dispersion
-(d(y) = -y^2/2, which makes L equal to ||y - X beta||^2 / (2n)).  Each family
-computes L from theta in one place, `GlmFamily.nll`, in a form that keeps
-L >= 0 exact in floating point.
+(d(y) = -y^2/2, which makes L equal to ||y - X beta||^2 / (2n)).  L is
+computed from theta in one place, `GlmFamily.nll`, in a form that keeps
+L >= 0 exact in floating point; so is its gradient, in `gradient_at_theta`,
+and its Hessian on a set of columns, in `weighted_gram`.
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ class Dataset:
 
     All entries must be finite.  n = 0 is allowed so that an empty test
     split is representable; solvers reject empty data themselves.
-    _x_checked is private to readers that check every entry of X as they
-    build it (read_libsvm); it skips the n x p scan of X, nothing else.
+    _x_checked is private to callers whose X is known finite (read_libsvm
+    checks each entry as it parses, pad_features and train_test_split take
+    a Dataset's); it skips the n x p scan of X, nothing else.
     """
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: tuple[str, ...] | None = None
     _x_checked: InitVar[bool] = False
 
     def __post_init__(self, _x_checked):
@@ -159,8 +160,6 @@ class Dataset:
             raise ValueError("X contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
-        if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
-            raise ValueError("feature_names length must equal the number of columns")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -215,28 +214,24 @@ def gradient(
 
     The product with X^T is the one pass over all of X.
     """
-    theta = linear_predictor(data, beta, intercept)
-    return data.X.T @ (family.mean(theta) - data.y) / data.n
+    return gradient_at_theta(family, data.X, data.y, linear_predictor(data, beta, intercept))
+
+
+def gradient_at_theta(
+    family: GlmFamily, X: np.ndarray, y: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """(1/n) X^T (c'(theta) - y): the gradient of L with respect to the
+    coefficients of the columns X, at the linear predictors theta."""
+    return X.T @ (family.mean(theta) - y) / X.shape[0]
 
 
 def weighted_gram(Xa: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) Xa^T diag(w) Xa, the Hessian of L restricted to the columns Xa.
+    """(1/n) Xa^T diag(w) Xa; with w = c''(theta), the Hessian of L on the columns Xa.
 
     Built as M^T M with M = diag(sqrt(w)) Xa and symmetrized by averaging,
-    so the result is exactly symmetric and positive semidefinite.  Both
-    hessian_active and the solver's restricted Newton step use it.
+    so the result is exactly symmetric and positive semidefinite.  The
+    restricted Newton step of the solver uses it.
     """
     M = Xa * np.sqrt(w)[:, None]
     H = M.T @ M / n
     return 0.5 * (H + H.T)
-
-
-def hessian_active(
-    family: GlmFamily, data: Dataset, beta: np.ndarray, active: np.ndarray
-) -> np.ndarray:
-    """Restricted Hessian (1/n) X_A^T diag(c''(X beta)) X_A (see weighted_gram)."""
-    active = np.asarray(active, dtype=int)
-    if active.size == 0:
-        raise ValueError("active set must be nonempty")
-    w = family.variance(linear_predictor(data, beta))
-    return weighted_gram(data.X[:, active], w, data.n)

@@ -234,8 +234,10 @@ def metric_discovery(
     return apdr, afdr, apdr + 1.0 - afdr
 
 
-def _predict_labels(fit: FitResult, data: Dataset) -> np.ndarray:
-    return (linear_predictor(data, fit.beta_hat, fit.intercept) >= 0.0).astype(float)
+def fit_accuracy(fit: FitResult, data: Dataset) -> float:
+    """Accuracy on data of the labels 1[theta >= 0] that the fit predicts."""
+    labels = (linear_predictor(data, fit.beta_hat, fit.intercept) >= 0.0).astype(float)
+    return metric_acrp(labels, data.y)
 
 
 def run_replications(
@@ -276,7 +278,7 @@ def run_replications(
         apdr, afdr, adr = metric_discovery(fit.support, support_star)
         totals += (
             metric_reerr(fit.beta_hat, beta_star),
-            metric_acrp(_predict_labels(fit, score_on), score_on.y),
+            fit_accuracy(fit, score_on),
             apdr,
             afdr,
             adr,

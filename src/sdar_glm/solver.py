@@ -33,6 +33,7 @@ from .families import (
     Dataset,
     GlmFamily,
     gradient,
+    gradient_at_theta,
     negative_log_likelihood,
     require_finite,
     weighted_gram,
@@ -234,7 +235,6 @@ def restricted_mle(
         )
     Xa = np.ascontiguousarray(data.X[:, active])
     y = data.y
-    n = data.n
     cap = cfg.coef_cap if family.name == "logistic" else None
 
     b = np.array(init, dtype=float)
@@ -247,10 +247,10 @@ def restricted_mle(
     best_b, best_f = b, fb  # iterates are never written after they are made
 
     for _ in range(cfg.newton_max_iters):
-        g = Xa.T @ (family.mean(theta) - y) / n
+        g = gradient_at_theta(family, Xa, y, theta)
         if np.abs(g).max() <= cfg.newton_grad_tol:
             return b
-        H = weighted_gram(Xa, family.variance(theta), n)
+        H = weighted_gram(Xa, family.variance(theta), data.n)
         step = _solve_newton_system(H, g, cfg, active)
         slope = float(g @ step)
         if slope >= 0.0:

@@ -1,22 +1,35 @@
 """Shared instance builders for the test suite, and the reference
-implementations that faster library code is compared against: the per-token
-LIBSVM reader, the AR(1) design recursion over separate draws, and the
-Newton-system solve through scipy.linalg.solve.
+implementations that library code is compared against: the exhaustive
+best-subset search and the finite-difference gradient, the per-token LIBSVM
+reader, the AR(1) design recursion over separate draws, and the
+Newton-system solve through scipy.linalg.solve.  None of them is fast;
+each is simple enough to audit by eye.
 
 All randomness flows through keyed Philox streams, so every instance is a
 pure function of its seed: stream 0 feeds the design, 1 the coefficients,
 2 the responses.
 """
 
+import itertools
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
 
 import sdar_glm as sg
 from sdar_glm.dataio import LibsvmParseError
-from sdar_glm.families import Dataset
+from sdar_glm.families import (
+    Dataset,
+    GlmFamily,
+    linear_predictor,
+    negative_log_likelihood,
+    weighted_gram,
+)
 from sdar_glm.rng import as_rng, make_rng
+from sdar_glm.solver import SdarConfig, restricted_mle
+
+_ORACLE_BUDGET = 10**6
 
 
 def detectable_magnitude(n: int, p: int) -> float:
@@ -53,6 +66,79 @@ def orthogonal_design(seed: int, n: int, p: int) -> np.ndarray:
     raw = make_rng(seed, 0).standard_normal((n, p))
     q, _ = np.linalg.qr(raw)
     return q * math.sqrt(n)
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    support: np.ndarray
+    beta: np.ndarray
+    nll: float
+
+
+def best_subset_exhaustive(
+    family: GlmFamily,
+    data: Dataset,
+    t: int,
+    exact_size: bool = True,
+    cfg: SdarConfig | None = None,
+) -> OracleResult:
+    """Globally best support by enumeration.
+
+    Tries every support of size t (or of size <= t, including the empty
+    model, when exact_size is False), solving each restricted problem to
+    gradient tolerance 1e-10, and returns the smallest NLL.  Ties go to the
+    lexicographically smallest support (the enumeration order).  Refuses
+    instances with more than 10**6 candidate supports.
+    """
+    p = data.p
+    if not 0 <= t <= p:
+        raise ValueError(f"t must lie in [0, {p}], got {t}")
+    sizes = [t] if exact_size else list(range(t + 1))
+    n_candidates = sum(math.comb(p, s) for s in sizes)
+    if n_candidates > _ORACLE_BUDGET:
+        raise ValueError(
+            f"{n_candidates} candidate supports exceed the enumeration budget {_ORACLE_BUDGET}"
+        )
+    base = cfg if cfg is not None else SdarConfig(sparsity_t=max(t, 1))
+    solve_cfg = replace(base, newton_grad_tol=1e-10, newton_max_iters=200)
+
+    best: OracleResult | None = None
+    for size in sizes:
+        for supp in itertools.combinations(range(p), size):
+            beta = np.zeros(p)
+            if size:
+                idx = np.asarray(supp, dtype=int)
+                beta[idx] = restricted_mle(family, data, idx, np.zeros(size), solve_cfg)
+            nll = negative_log_likelihood(family, data, beta)
+            if best is None or nll < best.nll:
+                best = OracleResult(np.asarray(supp, dtype=int), beta, nll)
+    return best
+
+
+def finite_difference_gradient(
+    family: GlmFamily, data: Dataset, beta: np.ndarray, h: float = 1e-6
+) -> np.ndarray:
+    """Central-difference gradient of the NLL, one coordinate at a time."""
+    beta = np.asarray(beta, dtype=float)
+    out = np.zeros_like(beta)
+    for j in range(beta.size):
+        up = beta.copy()
+        down = beta.copy()
+        up[j] += h
+        down[j] -= h
+        out[j] = (
+            negative_log_likelihood(family, data, up)
+            - negative_log_likelihood(family, data, down)
+        ) / (2.0 * h)
+    return out
+
+
+def restricted_hessian(
+    family: GlmFamily, data: Dataset, beta: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """The Hessian of L on the columns `active` at beta, built as
+    restricted_mle builds it: weighted_gram(X_A, c''(X beta), n)."""
+    return weighted_gram(data.X[:, active], family.variance(linear_predictor(data, beta)), data.n)
 
 
 def ar1_design_with_separate_draws(n: int, p: int, rho: float, seed) -> np.ndarray:

@@ -19,11 +19,17 @@ from scipy.stats import spearmanr
 
 import sdar_glm as sg
 from sdar_glm.cli import SCHEMA_LINE, main
-from sdar_glm.families import gradient, hessian_active, negative_log_likelihood
+from sdar_glm.families import gradient
 from sdar_glm.rng import make_rng
 from sdar_glm.solver import SdarState
 
-from helpers import detectable_magnitude, logistic_instance
+from helpers import (
+    best_subset_exhaustive,
+    detectable_magnitude,
+    finite_difference_gradient,
+    logistic_instance,
+    restricted_hessian,
+)
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> bool:
@@ -79,7 +85,7 @@ def test_c02_matches_exhaustive_search():
     for seed in range(50):
         data, _, _ = logistic_instance(seed, 100, 10, 2)
         fit = sg.gsdar_fit(sg.LOGISTIC, data, sg.SdarConfig(sparsity_t=2))
-        oracle = sg.best_subset_exhaustive(sg.LOGISTIC, data, 2)
+        oracle = best_subset_exhaustive(sg.LOGISTIC, data, 2)
         if np.array_equal(fit.support, oracle.support):
             matches += 1
             worst_gap = max(worst_gap, float(np.max(np.abs(fit.beta_hat - oracle.beta))))
@@ -316,11 +322,11 @@ def test_c09_property_spot_checks(tmp_path):
     data, _, _ = logistic_instance(3, 60, 12, 3)
     beta = make_rng(3, 5).standard_normal(12) * 0.3
     g = gradient(sg.LOGISTIC, data, beta)
-    fd = sg.finite_difference_gradient(sg.LOGISTIC, data, beta)
+    fd = finite_difference_gradient(sg.LOGISTIC, data, beta)
     grad_rel = float(np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g))))
     checks.append(("gradient fd rel err <= 1e-5", grad_rel <= 1e-5))
     active = np.array([0, 2, 5])
-    H = hessian_active(sg.LOGISTIC, data, beta, active)
+    H = restricted_hessian(sg.LOGISTIC, data, beta, active)
     h = 1e-6
     cols = []
     for j in active:

@@ -354,6 +354,45 @@ def test_real_data_pads_a_narrower_test_file(tmp_path, capsys):
     assert record["test_accuracy"] != ""
 
 
+@pytest.mark.parametrize("held_out", ["test-file", "train-size"])
+def test_real_data_checks_each_design_for_finiteness_once(tmp_path, capsys, monkeypatch, held_out):
+    train_path = planted_file(tmp_path)  # 80 x 6
+    if held_out == "test-file":  # 40 x 4, padded to 40 x 6
+        rng = make_rng(23)
+        test = sg.Dataset(rng.standard_normal((40, 4)), (rng.random(40) < 0.5).astype(float))
+        sg.write_libsvm(test, str(tmp_path / "test.txt"))
+        split, expected = ["--test", str(tmp_path / "test.txt")], [(80, 6), (40, 6)]
+    else:  # the split parts come from an already checked design
+        split, expected = ["--train-size", "50"], [(80, 6)]
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        if np.ndim(x) == 2 and np.shape(x)[1] == 6:  # a design, not a 2 x 2 Newton system
+            scans.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    code, _, _ = run_cli(["real-data", "--train", train_path, *split, "--T", "2"], capsys)
+    assert code == 0
+    assert scans == expected
+
+
+@pytest.mark.parametrize("split", [[], ["--train-size", "1"]])
+def test_real_data_defaults_the_sparsity_level_to_one_on_one_training_row(
+    tmp_path, capsys, split
+):
+    # floor(0.5 n / log n) has log 1 = 0 in its denominator at n = 1
+    train_path = planted_file(tmp_path, n=1 if not split else 80)
+    argv = ["real-data", "--train", train_path, *split]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    header, rows = csv_rows(out)
+    record = dict(zip(header, rows[0]))
+    assert record["n_train"] == "1" and record["T"] == "1"
+    assert run_cli(argv + ["--T", "1"], capsys)[1] == out
+
+
 def test_real_data_rejects_both_split_styles(tmp_path, capsys):
     train_path = planted_file(tmp_path)
     code, _, err = run_cli(

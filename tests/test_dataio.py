@@ -252,11 +252,10 @@ def test_standardize_validates_shape_and_mode():
 # --- pad_features ------------------------------------------------------------
 
 def test_pad_features_appends_zero_columns():
-    data = sg.Dataset(np.array([[1.0, 2.0]]), np.array([1.0]), feature_names=("a", "b"))
+    data = sg.Dataset(np.array([[1.0, 2.0]]), np.array([1.0]))
     padded = pad_features(data, 4)
     assert np.array_equal(padded.X, [[1.0, 2.0, 0.0, 0.0]])
     assert np.array_equal(padded.y, data.y)
-    assert padded.feature_names is None  # names no longer cover every column
     assert pad_features(data, 2) is data
     with pytest.raises(ValueError, match="cannot shrink"):
         pad_features(data, 1)
@@ -302,12 +301,6 @@ def test_split_accepts_counts_and_full_fraction():
     train, test = sg.train_test_split(data, train_fraction=1.0, seed=1)
     assert (train.n, test.n) == (6, 0)
 
-
-def test_split_preserves_feature_names():
-    data = sg.Dataset(np.ones((4, 2)), np.zeros(4), feature_names=("u", "v"))
-    train, test = sg.train_test_split(data, train_size=2, seed=0)
-    assert train.feature_names == data.feature_names
-    assert test.feature_names == data.feature_names
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,20 @@
-"""Exhaustive best-subset reference and the finite-difference gradient."""
+"""The test suite's exhaustive best-subset reference and finite-difference
+gradient (tests/helpers.py), checked on instances with known answers."""
 
 import numpy as np
 import pytest
 
 import sdar_glm as sg
 from sdar_glm.families import gradient, negative_log_likelihood
-from sdar_glm.oracle import best_subset_exhaustive
 from sdar_glm.rng import make_rng
 
-from helpers import gaussian_instance, logistic_instance, orthogonal_design
+from helpers import (
+    best_subset_exhaustive,
+    finite_difference_gradient,
+    gaussian_instance,
+    logistic_instance,
+    orthogonal_design,
+)
 
 
 def test_orthogonal_design_oracle_is_top_correlations():
@@ -107,5 +113,5 @@ def test_finite_difference_gradient_matches_analytic():
         data, _, _ = maker(19, 50, 7, 2)
         beta = make_rng(19, 5).standard_normal(7) * 0.4
         analytic = gradient(family, data, beta)
-        numeric = sg.finite_difference_gradient(family, data, beta)
+        numeric = finite_difference_gradient(family, data, beta)
         assert np.max(np.abs(analytic - numeric)) <= 1e-6

@@ -12,7 +12,7 @@ from sdar_glm.families import negative_log_likelihood
 from sdar_glm.path import hbic
 from sdar_glm.rng import make_rng
 
-from helpers import gaussian_instance, logistic_instance
+from helpers import best_subset_exhaustive, gaussian_instance, logistic_instance
 
 
 def make_fit(beta_hat, nll):
@@ -92,7 +92,7 @@ def test_path_selection_agrees_with_exhaustive_search():
     # up to the true size the fits are globally optimal; the chosen level
     # reproduces the exhaustive search and the planted support exactly
     for t in (1, 2):
-        oracle = sg.best_subset_exhaustive(sg.LOGISTIC, data, t)
+        oracle = best_subset_exhaustive(sg.LOGISTIC, data, t)
         assert res.fits[t].fit.nll <= oracle.nll + 1e-6
     assert res.selected_t == 2
     assert np.array_equal(res.selected_fit.beta_hat, res.fits[2].fit.beta_hat)
