@@ -14,10 +14,9 @@ import io
 import itertools
 import math
 import sys
+from functools import partial
 
 from .dataio import (
-    InvalidLabelError,
-    LibsvmParseError,
     MODE_LENGTH,
     MODE_MEAN_VAR,
     map_labels_to_binary,
@@ -64,14 +63,6 @@ def parse_sweep(text: str, cast=float) -> list:
         raise UsageError(f"bad sweep {text!r}; use VALUE or START:STEP:STOP") from None
 
 
-def _int_sweep(text: str) -> list[int]:
-    return parse_sweep(text, int)
-
-
-def _float_sweep(text: str) -> list[float]:
-    return parse_sweep(text, float)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -101,6 +92,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _add_data_flags(sub):
+    sub.add_argument("--family", choices=["logistic", "gaussian"], required=True)
     sub.add_argument("--data", required=True, help="LIBSVM text file")
     sub.add_argument("--n-features", type=int, default=None, help="force the feature count")
     sub.add_argument(
@@ -117,6 +109,12 @@ def _add_solver_flags(sub):
     sub.add_argument("--intercept", action="store_true", help="fit an unpenalized intercept")
 
 
+def _add_replication_flags(sub):
+    sub.add_argument("--tau", type=float, default=1.0)
+    sub.add_argument("--reps", type=int, default=100)
+    sub.add_argument("--seed", type=int, default=0)
+
+
 def _solver_config(args, t: int) -> SdarConfig:
     """The SdarConfig of the solver flags, at sparsity level t."""
     return SdarConfig(
@@ -129,10 +127,12 @@ def _solver_config(args, t: int) -> SdarConfig:
 
 def _prepare(data, family, standardize) -> Dataset:
     """A dataset as read from LIBSVM, made ready to fit: labels mapped to
-    {0, 1} for the logistic family, columns rescaled when asked."""
+    {0, 1} for the logistic family, columns rescaled when asked.  Only a
+    rescaled X is scanned for finite values, since rescaling can overflow;
+    data.X comes from a Dataset (read_libsvm's or pad_features')."""
     y = map_labels_to_binary(data.y) if family.name == "logistic" else data.y
     X = standardize_columns(data.X, standardize) if standardize != "none" else data.X
-    return Dataset(X, y)
+    return Dataset(X, y, _x_checked=X is data.X)
 
 
 def _cmd_fit(args) -> int:
@@ -227,13 +227,12 @@ def _run_cells(columns, metrics, grid, prefix, configure, reps, output, train_fr
 def _cmd_simulate(args) -> int:
     agsdar = args.solver == "agsdar"
 
-    def prefix(n, p, k, rho, ratio):
-        t = None if agsdar else (args.T if args.T is not None else k)
-        return [args.scheme, n, p, k, rho, ratio, args.solver, t,
+    def prefix(n, p, k, rho, ratio, t):
+        return [args.scheme, n, p, k, rho, ratio, args.solver, None if agsdar else t,
                 args.theta if agsdar else None, args.Q if agsdar else None,
                 args.split, args.reps, args.seed]
 
-    def configure(n, p, k, rho, ratio):
+    def configure(n, p, k, rho, ratio, t):
         sim = SimConfig(n=n, p=p, k=k, rho=rho, range_ratio=ratio, scheme=args.scheme, seed=args.seed)
         if agsdar:
             return sim, AgsdarConfig(
@@ -241,13 +240,16 @@ def _cmd_simulate(args) -> int:
                 max_support_q=args.Q,
                 inner=SdarConfig(sparsity_t=1, step_size_tau=args.tau),
             )
-        return sim, SdarConfig(sparsity_t=args.T if args.T is not None else k, step_size_tau=args.tau)
+        return sim, SdarConfig(sparsity_t=t, step_size_tau=args.tau)
 
+    cells = (
+        (n, p, k, rho, ratio, k if args.T is None else args.T)
+        for n, p, k, rho, ratio in itertools.product(args.n, args.p, args.K, args.rho, args.R)
+    )
     return _run_cells(
         ["scheme", "n", "p", "K", "rho", "R", "solver", "T", "theta", "Q", "split", "reps", "seed"],
         ["reerr", "acrp", "apdr", "afdr", "adr", "iters_avg"],
-        itertools.product(args.n, args.p, args.K, args.rho, args.R),
-        prefix, configure, args.reps, args.output, train_fraction=args.split,
+        cells, prefix, configure, args.reps, args.output, train_fraction=args.split,
     )
 
 
@@ -267,7 +269,7 @@ def _cmd_bench_iters(args) -> int:
 
 
 def _cmd_real_data(args) -> int:
-    if args.test and args.train_size:
+    if args.test and args.train_size is not None:
         raise UsageError("give at most one of --test and --train-size")
     family = get_family(args.family)
     train = read_libsvm(args.train, n_features=args.n_features)
@@ -276,7 +278,7 @@ def _cmd_real_data(args) -> int:
     train = _prepare(pad_features(train, p), family, args.standardize)
     if test is not None:
         test = _prepare(pad_features(test, p), family, args.standardize)
-    if args.train_size:
+    if args.train_size is not None:
         train, test = train_test_split(train, train_size=args.train_size, seed=args.seed)
 
     n_train = train.n
@@ -313,17 +315,15 @@ def _cmd_real_data(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sdar-glm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    int_sweep = partial(parse_sweep, cast=int)
 
     fit = subs.add_parser("fit", help="fit one model at a fixed sparsity level")
-    fit.add_argument("--family", choices=["logistic", "gaussian"], required=True)
     _add_data_flags(fit)
     fit.add_argument("--T", type=int, required=True, help="active-set cardinality")
     _add_solver_flags(fit)
-    fit.add_argument("--output", default=None)
     fit.set_defaults(func=_cmd_fit)
 
     path = subs.add_parser("path", help="fit a sparsity path and select by HBIC")
-    path.add_argument("--family", choices=["logistic", "gaussian"], required=True)
     _add_data_flags(path)
     path.add_argument("--theta", type=int, default=1, help="sparsity increment")
     path.add_argument("--Q", type=int, default=None, help="largest sparsity level")
@@ -336,39 +336,32 @@ def build_parser() -> argparse.ArgumentParser:
     path.add_argument("--full-path", action="store_true",
                       help="fit every level up to Q, past the HBIC bound that stops the sweep")
     _add_solver_flags(path)
-    path.add_argument("--output", default=None)
     path.set_defaults(func=_cmd_path)
 
     sim = subs.add_parser("simulate", help="replicate synthetic experiments")
     sim.add_argument("--scheme", choices=[SCHEME_BANDED, SCHEME_AR1], required=True)
-    sim.add_argument("--n", type=_int_sweep, required=True, help="sample size (sweepable)")
-    sim.add_argument("--p", type=_int_sweep, required=True, help="predictors (sweepable)")
-    sim.add_argument("--K", type=_int_sweep, required=True, help="true support size (sweepable)")
-    sim.add_argument("--rho", type=_float_sweep, default=[0.0], help="correlation (sweepable)")
-    sim.add_argument("--R", type=_float_sweep, default=[3.0],
+    sim.add_argument("--n", type=int_sweep, required=True, help="sample size (sweepable)")
+    sim.add_argument("--p", type=int_sweep, required=True, help="predictors (sweepable)")
+    sim.add_argument("--K", type=int_sweep, required=True, help="true support size (sweepable)")
+    sim.add_argument("--rho", type=parse_sweep, default=[0.0], help="correlation (sweepable)")
+    sim.add_argument("--R", type=parse_sweep, default=[3.0],
                      help="upper signal bound for the ar1 scheme (sweepable)")
     sim.add_argument("--solver", choices=["gsdar", "agsdar"], default="gsdar")
     sim.add_argument("--T", type=int, default=None, help="sparsity level (default: K)")
     sim.add_argument("--theta", type=int, default=1)
     sim.add_argument("--Q", type=int, default=None)
-    sim.add_argument("--tau", type=float, default=1.0)
     sim.add_argument("--split", type=float, default=None,
                      help="train fraction; accuracy scores the held-out rest")
-    sim.add_argument("--reps", type=int, default=100)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--output", default=None)
+    _add_replication_flags(sim)
     sim.set_defaults(func=_cmd_simulate)
 
     bench = subs.add_parser("bench-iters", help="average outer iterations at T = K")
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--p", type=int, required=True)
-    bench.add_argument("--K", type=_int_sweep, required=True, help="support size (sweepable)")
-    bench.add_argument("--rho", type=_float_sweep, default=[0.1], help="AR(1) correlation (sweepable)")
+    bench.add_argument("--K", type=int_sweep, required=True, help="support size (sweepable)")
+    bench.add_argument("--rho", type=parse_sweep, default=[0.1], help="AR(1) correlation (sweepable)")
     bench.add_argument("--R", type=float, default=3.0)
-    bench.add_argument("--tau", type=float, default=1.0)
-    bench.add_argument("--reps", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--output", default=None)
+    _add_replication_flags(bench)
     bench.set_defaults(func=_cmd_bench_iters)
 
     real = subs.add_parser("real-data", help="end-to-end pipeline on LIBSVM files")
@@ -384,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sparsity level (default: floor(0.5 n / log n))")
     _add_solver_flags(real)
     real.add_argument("--seed", type=int, default=0)
-    real.add_argument("--output", default=None)
     real.set_defaults(func=_cmd_real_data)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--output", default=None)
     return parser
 
 
@@ -395,10 +389,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (LibsvmParseError, InvalidLabelError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # LIBSVM and label errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SingularSystemError, NumericOverflowError) as exc:

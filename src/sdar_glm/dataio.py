@@ -16,8 +16,8 @@ the lines are walked again token by token and the LibsvmParseError of the
 first malformed line is raised, carrying its 1-based line number.  Problems
 of the file as a whole (no data lines, n_features below the largest index,
 a dense X too large to allocate) carry line number 0.  Because every value
-is checked as it is parsed, the returned Dataset does not scan X again; the
-CLI's Dataset of the prepared design is the one scan.
+is checked as it is parsed, the returned Dataset does not scan X again, and
+the CLI does not rescan it unless it was standardized.
 """
 
 from __future__ import annotations

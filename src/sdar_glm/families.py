@@ -138,9 +138,11 @@ class Dataset:
 
     All entries must be finite.  n = 0 is allowed so that an empty test
     split is representable; solvers reject empty data themselves.
-    _x_checked is private to callers whose X is known finite (read_libsvm
-    checks each entry as it parses, pad_features and train_test_split take
-    a Dataset's); it skips the n x p scan of X, nothing else.
+    _x_checked is private to callers whose X is known finite: read_libsvm
+    checks each entry as it parses; pad_features, train_test_split, the
+    CLI's unstandardized design and the solver's intercept block build X
+    from a Dataset's X (plus zeros or ones).  It skips the scan of X,
+    nothing else.
     """
 
     X: np.ndarray

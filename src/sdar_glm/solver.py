@@ -293,12 +293,14 @@ def _advance(
     """Solve on `support` (plus the intercept) and refresh the dual: one pass over X.
 
     The intercept's ones column is appended only to the n x |support| block
-    that the restricted solve sees.
+    that the restricted solve sees.  That block is not scanned for finite
+    values: its columns come from the valid `data` and a column of ones.
     """
     init = state.beta[support]
     intercept = 0.0
     if cfg.with_intercept:
-        block = Dataset(np.column_stack([data.X[:, support], np.ones(data.n)]), data.y)
+        columns = np.column_stack([data.X[:, support], np.ones(data.n)])
+        block = Dataset(columns, data.y, _x_checked=True)
         try:
             coef = restricted_mle(
                 family, block, np.arange(support.size + 1), np.append(init, state.intercept), cfg

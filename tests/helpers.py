@@ -1,4 +1,5 @@
-"""Shared instance builders for the test suite, and the reference
+"""Shared instance builders for the test suite, a counter of np.isfinite
+scans for the tests that pin how often a design is checked, and the reference
 implementations that library code is compared against: the exhaustive
 best-subset search and the finite-difference gradient, the per-token LIBSVM
 reader, the AR(1) design recursion over separate draws, and the
@@ -30,6 +31,21 @@ from sdar_glm.rng import as_rng, make_rng
 from sdar_glm.solver import SdarConfig, restricted_mle
 
 _ORACLE_BUDGET = 10**6
+
+
+def count_finite_scans(monkeypatch, counted) -> list:
+    """Patch np.isfinite to record np.shape(x) of each call whose shape
+    satisfies counted(shape); returns the list it appends to."""
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        if counted(np.shape(x)):
+            scans.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    return scans
 
 
 def detectable_magnitude(n: int, p: int) -> float:

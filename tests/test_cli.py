@@ -11,6 +11,8 @@ import sdar_glm as sg
 from sdar_glm.cli import SCHEMA_LINE, UsageError, main, parse_sweep
 from sdar_glm.rng import make_rng
 
+from helpers import count_finite_scans
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -107,23 +109,38 @@ def test_fit_output_is_byte_deterministic_and_file_matches_stdout(tmp_path, caps
     assert out_path.read_text(encoding="ascii") == first
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["path", "--family", "logistic", "--data", "TRAIN", "--Q", "3"],
+        ["simulate", "--scheme", "ar1", "--n", "50", "--p", "12", "--K", "1:1:2", "--reps", "2"],
+        ["bench-iters", "--n", "50", "--p", "12", "--K", "2", "--reps", "2"],
+        ["real-data", "--train", "TRAIN", "--train-size", "40"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_file_matches_stdout(tmp_path, capsys, argv):
+    train_path = planted_file(tmp_path)
+    argv = [train_path if arg == "TRAIN" else arg for arg in argv]
+    code, printed, _ = run_cli(argv, capsys)
+    assert code == 0 and printed.startswith(SCHEMA_LINE)
+
+    out_path = tmp_path / "result.csv"
+    code, piped, _ = run_cli(argv + ["--output", str(out_path)], capsys)
+    assert code == 0 and piped == ""
+    assert out_path.read_text(encoding="ascii") == printed
+
+
 @pytest.mark.parametrize("standardize", ["none", "mean0var1", "length-sqrt-n"])
 def test_fit_checks_the_design_for_finiteness_once(tmp_path, capsys, monkeypatch, standardize):
     data_path = planted_file(tmp_path)  # 80 x 6
-    scans = []
-    isfinite = np.isfinite
-
-    def counting(x, *args, **kwargs):
-        if np.shape(x) == (80, 6):
-            scans.append(1)
-        return isfinite(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "isfinite", counting)
+    scans = count_finite_scans(monkeypatch, lambda shape: shape == (80, 6))
     argv = ["fit", "--family", "logistic", "--data", data_path, "--T", "2",
             "--standardize", standardize]
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
-    assert len(scans) == 1  # read_libsvm checked each value while parsing
+    # read_libsvm checked each value while parsing; only rescaling can overflow
+    assert len(scans) == (0 if standardize == "none" else 1)
 
 
 def test_read_libsvm_keeps_its_dataset_checks(tmp_path):
@@ -354,28 +371,42 @@ def test_real_data_pads_a_narrower_test_file(tmp_path, capsys):
     assert record["test_accuracy"] != ""
 
 
-@pytest.mark.parametrize("held_out", ["test-file", "train-size"])
-def test_real_data_checks_each_design_for_finiteness_once(tmp_path, capsys, monkeypatch, held_out):
-    train_path = planted_file(tmp_path)  # 80 x 6
-    if held_out == "test-file":  # 40 x 4, padded to 40 x 6
+def held_out_argv(tmp_path, held_out):
+    """--test with a 40 x 4 file (padded to 40 x 6), or --train-size 50."""
+    if held_out == "test-file":
         rng = make_rng(23)
         test = sg.Dataset(rng.standard_normal((40, 4)), (rng.random(40) < 0.5).astype(float))
         sg.write_libsvm(test, str(tmp_path / "test.txt"))
-        split, expected = ["--test", str(tmp_path / "test.txt")], [(80, 6), (40, 6)]
-    else:  # the split parts come from an already checked design
-        split, expected = ["--train-size", "50"], [(80, 6)]
-    scans = []
-    isfinite = np.isfinite
+        return ["--test", str(tmp_path / "test.txt")]
+    return ["--train-size", "50"]
 
-    def counting(x, *args, **kwargs):
-        if np.ndim(x) == 2 and np.shape(x)[1] == 6:  # a design, not a 2 x 2 Newton system
-            scans.append(np.shape(x))
-        return isfinite(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "isfinite", counting)
+def count_design_scans(monkeypatch):
+    # a design has 6 columns; a T x T Newton system does not
+    return count_finite_scans(monkeypatch, lambda shape: len(shape) == 2 and shape[1] == 6)
+
+
+@pytest.mark.parametrize("held_out", ["test-file", "train-size"])
+def test_real_data_checks_each_design_for_finiteness_once(tmp_path, capsys, monkeypatch, held_out):
+    train_path = planted_file(tmp_path)  # 80 x 6
+    split = held_out_argv(tmp_path, held_out)
+    scans = count_design_scans(monkeypatch)
     code, _, _ = run_cli(["real-data", "--train", train_path, *split, "--T", "2"], capsys)
     assert code == 0
-    assert scans == expected
+    assert scans == []  # the reader checked each value; padding and splits add none
+
+
+@pytest.mark.parametrize("held_out", ["test-file", "train-size"])
+def test_real_data_scans_each_standardized_design_once(tmp_path, capsys, monkeypatch, held_out):
+    train_path = planted_file(tmp_path)  # 80 x 6
+    split = held_out_argv(tmp_path, held_out)
+    scans = count_design_scans(monkeypatch)
+    argv = ["real-data", "--train", train_path, *split, "--T", "2",
+            "--standardize", "length-sqrt-n"]  # the padded zero columns stay zero
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    # the split parts come from the standardized, scanned training design
+    assert scans == ([(80, 6), (40, 6)] if held_out == "test-file" else [(80, 6)])
 
 
 @pytest.mark.parametrize("split", [[], ["--train-size", "1"]])
@@ -391,6 +422,22 @@ def test_real_data_defaults_the_sparsity_level_to_one_on_one_training_row(
     record = dict(zip(header, rows[0]))
     assert record["n_train"] == "1" and record["T"] == "1"
     assert run_cli(argv + ["--T", "1"], capsys)[1] == out
+
+
+@pytest.mark.parametrize(
+    "split, message",
+    [
+        (["--train-size", "0"], "error: train size 0 must lie in [1, 6]"),
+        (["--test", "TRAIN", "--train-size", "0"],
+         "error: give at most one of --test and --train-size"),
+    ],
+)
+def test_real_data_takes_a_zero_train_size_as_given(tmp_path, capsys, split, message):
+    train_path = planted_file(tmp_path, n=6)
+    split = [train_path if arg == "TRAIN" else arg for arg in split]
+    code, out, err = run_cli(["real-data", "--train", train_path, *split], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [message]
 
 
 def test_real_data_rejects_both_split_styles(tmp_path, capsys):

@@ -15,6 +15,7 @@ from sdar_glm.rng import make_rng
 from sdar_glm.solver import SdarState, _cholesky_solve, _solve_newton_system, restricted_mle
 
 from helpers import (
+    count_finite_scans,
     gaussian_instance,
     logistic_instance,
     newton_solve_reference,
@@ -481,6 +482,16 @@ def test_fit_with_intercept_recovers_offset():
     assert np.array_equal(fit.support, [1, 6])
     assert abs(fit.intercept - 1.0) < 0.3
     assert sg.kkt_residual(sg.LOGISTIC, data, fit, 2) <= 1e-6
+
+
+def test_intercept_fit_scans_no_restricted_block(monkeypatch):
+    # the block [X_S, 1] is built from the checked design and a ones column
+    sim = sg.SimConfig(n=200, p=50, k=6, rho=0.7, range_ratio=10.0, scheme=sg.SCHEME_AR1, seed=1)
+    data = sg.generate_instance(sim)[0]
+    scans = count_finite_scans(monkeypatch, lambda shape: shape == (200, 4))
+    fit = sg.gsdar_fit(sg.LOGISTIC, data, sg.SdarConfig(sparsity_t=3, with_intercept=True))
+    assert fit.iters == 2
+    assert scans == []
 
 
 def test_fit_without_intercept_reports_zero_intercept():
