@@ -269,11 +269,11 @@ def _cmd_bench_iters(args) -> int:
 
 
 def _cmd_real_data(args) -> int:
-    if args.test and args.train_size is not None:
+    if args.test is not None and args.train_size is not None:
         raise UsageError("give at most one of --test and --train-size")
     family = get_family(args.family)
     train = read_libsvm(args.train, n_features=args.n_features)
-    test = read_libsvm(args.test, n_features=args.n_features) if args.test else None
+    test = None if args.test is None else read_libsvm(args.test, n_features=args.n_features)
     p = max(train.p, test.p if test is not None else 0)
     train = _prepare(pad_features(train, p), family, args.standardize)
     if test is not None:

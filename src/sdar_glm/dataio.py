@@ -5,19 +5,26 @@ strictly increasing indices; `#` starts a comment.  Files are densified on
 read (absent indices become 0).  Only local paths are read; downloading is
 out of scope.
 
-read_libsvm parses in bulk.  The file is decoded as ASCII in one piece, so a
-non-ASCII byte anywhere is a UnicodeDecodeError before any line is checked.
-A compiled pattern checks the shape of each line's `idx:value` tokens; then
-every label, index and value is converted in one pass with Python's own
-float and int, so spellings such as `+2`, `02`, `1_0`, `nan` and `1e999`
-read as they do in Python; the positivity, ordering and finiteness checks
-run on whole arrays; and a single assignment fills X.  When any check fails,
-the lines are walked again token by token and the LibsvmParseError of the
-first malformed line is raised, carrying its 1-based line number.  Problems
-of the file as a whole (no data lines, n_features below the largest index,
-a dense X too large to allocate) carry line number 0.  Because every value
-is checked as it is parsed, the returned Dataset does not scan X again, and
-the CLI does not rescan it unless it was standardized.
+read_libsvm parses the file's bytes as one uint8 array.  Comments are cut
+out; the bytes at which str.split() splits (\t, \v, \f, \x1c-\x1f and
+space, with \r and \n ending a line as text mode reads them) cut the rest
+into tokens, whose bounds come from the positions of those bytes; the first
+token of each line is its label, and each other token must hold exactly one
+colon with both sides nonempty.  Labels, indices and values are gathered
+into fixed-width bytes arrays, in classes of similar width so that one long
+token does not widen the rest, and numpy casts those to float64 and int64
+with Python's own float and int, so spellings such as `+2`, `02`, `1_0`,
+`nan` and `1e999` read as they do in Python.  A byte above 127 anywhere, or
+a control byte outside a comment, makes the byte pass give up.  The
+positivity, ordering and finiteness checks run on whole arrays, and a single
+assignment fills X.  When any check fails, the file is read again as ASCII
+text and walked token by token, which raises the UnicodeDecodeError of a
+non-ASCII byte before any line is checked, or else the LibsvmParseError of
+the first malformed line, carrying its 1-based line number.  Problems of the
+file as a whole (no data lines, n_features below the largest index, a dense
+X too large to allocate) carry line number 0.  Because every value is
+checked as it is parsed, the returned Dataset does not scan X again, and the
+CLI does not rescan it unless it was standardized.
 """
 
 from __future__ import annotations
@@ -47,11 +54,6 @@ __all__ = [
 MODE_MEAN_VAR = "mean0var1"
 MODE_LENGTH = "length-sqrt-n"
 
-# the feature part of a line: `idx:value` tokens with exactly one colon and
-# both sides nonempty, separated by whitespace
-_FEATURES = re.compile(r"(?:[^\s:]+:[^\s:]+\s+)*(?:[^\s:]+:[^\s:]+)?")
-
-
 class LibsvmParseError(ValueError):
     """Malformed LIBSVM text; carries the 1-based line number."""
 
@@ -77,13 +79,10 @@ def read_libsvm(path: str, n_features: int | None = None) -> Dataset:
     when given (which must cover every observed index).  Labels are kept
     verbatim; map_labels_to_binary converts them for logistic fits.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        # not splitlines(): it would also break at \v, \f and \x1c-\x1e,
-        # which are whitespace inside a line
-        lines = fh.read().split("\n")
-    parsed = _parse_lines(lines)
+    with open(path, "rb") as fh:
+        parsed = _parse_bytes(fh.read())
     if parsed is None:
-        _raise_first_bad_line(lines)
+        _raise_first_bad_line(path)
     y, rows, idx, val = parsed
     if not y.size:
         raise LibsvmParseError(0, "file contains no data lines")
@@ -103,34 +102,31 @@ def read_libsvm(path: str, n_features: int | None = None) -> Dataset:
     return Dataset(X, y, _x_checked=True)  # every value was checked finite above
 
 
-def _parse_lines(lines: list[str]) -> tuple[np.ndarray, ...] | None:
-    """Labels, and the row, index and value of every feature token, converted
-    in bulk; None when any line is malformed.
+def _parse_bytes(raw: bytes) -> tuple[np.ndarray, ...] | None:
+    """Labels, and the row, index and value of every feature token, read from
+    the file's bytes; None when any line is malformed.
 
-    The token strings die with this frame, before read_libsvm allocates X.
+    The byte arrays die with this frame, before read_libsvm allocates X.
     """
-    labels: list[str] = []
-    features: list[str] = []
-    counts: list[int] = []
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        rest = parts[1] if len(parts) > 1 else ""
-        if _FEATURES.fullmatch(rest) is None:
-            return None
-        labels.append(parts[0])
-        features.append(rest)
-        counts.append(rest.count(":"))
-    tokens = " ".join(features).replace(":", " ").split()
+    tokens = _tokenize(raw)
+    if tokens is None:
+        return None
+    buf, starts, stops, label = tokens
+    # each feature token holds exactly one colon, with both sides nonempty:
+    # as many colons as feature tokens, the j-th inside the j-th token
+    labels, feature = np.flatnonzero(label), np.flatnonzero(~label)
+    lo, hi = starts[feature], stops[feature]
+    colons = np.flatnonzero(buf == 58)
+    if colons.size != lo.size or not (np.all(lo < colons) and np.all(colons + 1 < hi)):
+        return None
+    window = np.concatenate([buf, np.zeros(int(np.max(stops - starts, initial=0)), np.uint8)])
     try:
-        y = np.fromiter(map(float, labels), float, len(labels))
-        idx = np.fromiter(map(int, tokens[0::2]), np.int64, len(tokens) // 2)
-        val = np.fromiter(map(float, tokens[1::2]), float, len(tokens) // 2)
+        y = _convert(window, starts[labels], stops[labels], np.float64)
+        idx = _convert(window, lo, colons, np.int64)
+        val = _convert(window, colons + 1, hi, np.float64)
     except (ValueError, OverflowError):
         return None
-    rows = np.repeat(np.arange(len(counts)), counts)
+    rows = np.repeat(np.arange(labels.size), np.diff(labels, append=starts.size) - 1)
     prev = np.zeros_like(idx)  # the previous index in the row, 0 at its start
     prev[1:] = np.where(rows[1:] == rows[:-1], idx[:-1], 0)
     if not (np.all(idx > prev) and np.all(np.isfinite(val))):
@@ -138,13 +134,72 @@ def _parse_lines(lines: list[str]) -> tuple[np.ndarray, ...] | None:
     return y, rows, idx, val
 
 
-def _raise_first_bad_line(lines: list[str]) -> NoReturn:
+def _tokenize(raw: bytes) -> tuple[np.ndarray, ...] | None:
+    """The file's bytes without comments, the start and stop of every
+    token, and which tokens are labels; None when a byte makes the file
+    malformed or not ASCII.
+    """
+    if np.any(np.frombuffer(raw, np.uint8) > 127):
+        return None  # the text read raises the UnicodeDecodeError
+    raw = re.sub(rb"#[^\r\n]*", b"", raw)  # each comment runs to its line's end
+    buf = np.frombuffer(raw, np.uint8)
+    # tokens are the runs of bytes above 32
+    gaps = np.flatnonzero(buf <= 32)
+    code = buf[gaps]
+    # str.split() splits at the bytes 9-13 and 28-32; any other control byte
+    # lies inside a token, where Python's float and int reject it (and a
+    # bytes array would drop a trailing NUL)
+    if np.any((code < 9) | ((code > 13) & (code < 28))):
+        return None
+    bounds = np.concatenate(([-1], gaps, [buf.size]))
+    runs = np.flatnonzero(np.diff(bounds) > 1)
+    starts, stops = bounds[runs] + 1, bounds[runs + 1]
+    # the label is the first token of all and the first after each line end;
+    # text mode reads \r and \r\n as \n
+    label = np.zeros(starts.size + 1, bool)
+    label[np.searchsorted(starts, gaps[(code == 10) | (code == 13)])] = True
+    label[0] = True
+    return buf, starts, stops, label[:-1]
+
+
+def _convert(window: np.ndarray, starts: np.ndarray, stops: np.ndarray, dtype) -> np.ndarray:
+    """The fields window[starts:stops] cast to dtype from fixed-width bytes.
+
+    numpy casts a bytes array to float64 and int64 with Python's own float and
+    int, so every spelling, bit and error is Python's.  Fields are gathered in
+    classes of lengths (2**(k-1), 2**k], each as wide as its longest field, so
+    the gather never takes more than twice the fields' bytes.
+    """
+    lens = stops - starts
+    out = np.empty(lens.size, dtype)
+    width_class = np.frexp(lens - 1)[1]  # k with 2**(k-1) < length <= 2**k
+    for k in np.flatnonzero(np.bincount(width_class)):
+        sel = np.flatnonzero(width_class == k)
+        size = lens[sel]
+        width = int(size.max())
+        # the `width` bytes at each offset of window, as one bytes item
+        items = np.ndarray((window.size - width + 1,), f"S{width}", window, strides=(1,))
+        fields = items[starts[sel]]
+        # NULs past each field's end pad a bytes array; they fall in the
+        # columns from the shortest field's length on
+        least = int(size.min())
+        tail = fields.view(np.uint8).reshape(-1, width)[:, least:]
+        tail *= np.arange(least, width) < size[:, None]
+        out[sel] = fields
+    return out
+
+
+def _raise_first_bad_line(path: str) -> NoReturn:
     """Raise the LibsvmParseError of the first malformed line, token by token.
 
-    Runs only after the bulk pass of read_libsvm has found a fault, which
+    Runs only after the byte pass of read_libsvm has found a fault, which
     every check below reproduces; the one fault they accept is an index
     beyond the int64 range, reported last, at the line of the largest index.
     """
+    with open(path, "r", encoding="ascii") as fh:
+        # not splitlines(): it would also break at \v, \f and \x1c-\x1e,
+        # which are whitespace inside a line
+        lines = fh.read().split("\n")
     max_idx, max_lineno = 0, 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -440,6 +440,22 @@ def test_real_data_takes_a_zero_train_size_as_given(tmp_path, capsys, split, mes
     assert err.splitlines() == [message]
 
 
+@pytest.mark.parametrize(
+    "split, message",
+    [
+        (["--test", "", "--T", "1"], "error: [Errno 2] No such file or directory: ''"),
+        (["--test", "", "--train-size", "3"],
+         "error: give at most one of --test and --train-size"),
+    ],
+    ids=["alone", "with-train-size"],
+)
+def test_real_data_takes_an_empty_test_path_as_given(tmp_path, capsys, split, message):
+    train_path = planted_file(tmp_path, n=6)
+    code, out, err = run_cli(["real-data", "--train", train_path, *split], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [message]
+
+
 def test_real_data_rejects_both_split_styles(tmp_path, capsys):
     train_path = planted_file(tmp_path)
     code, _, err = run_cli(

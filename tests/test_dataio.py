@@ -1,6 +1,7 @@
 """LIBSVM parsing and writing, label mapping, standardization, splitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,95 @@ def test_read_matches_the_per_token_reader(tmp_path, lines, tail, n_features):
     assert read_outcome(sg.read_libsvm, str(path), n_features) == read_outcome(
         read_libsvm_per_token, str(path), n_features
     )
+
+
+EOLS = st.sampled_from(["\n", "\r\n", "\r"])
+# bytes that str.split() does not split at but float and int reject
+CONTROL = "\x00\x01\x08\x0e\x1b\x7f"
+# junk without blanks, line ends, colons or comment marks
+JUNK = "0123456789+-_.einafx" + CONTROL
+
+
+@st.composite
+def long_tokens(draw):
+    """A token of 300 or more characters: a zero-padded index, a long value,
+    or junk; index 13 keeps the line's indices increasing."""
+    pad = "0" * draw(st.integers(300, 400))
+    return draw(st.sampled_from([
+        f"{pad}13:{draw(VALUES)}",
+        f"13:{pad}{draw(VALUES)}",
+        f"13:0.{pad}1",
+        f"{pad}{draw(LABELS)}",
+        draw(st.text(JUNK, min_size=300, max_size=400)),
+    ]))
+
+
+@st.composite
+def odd_lines(draw):
+    """One line with what libsvm_lines leaves out: a NUL or other control byte
+    in a token or a comment, a token of 300 or more characters, a # glued to
+    a token, or only \x1c-\x1f blanks."""
+    kind = draw(st.sampled_from(["control", "long", "glued", "blanks"]))
+    if kind == "blanks":
+        return draw(st.text("\x1c\x1d\x1e\x1f", min_size=1, max_size=4)) + draw(EOLS)
+    line = draw(libsvm_lines())
+    body = line.rstrip("\r\n")
+    eol = line[len(body):]
+    if kind == "control":
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from(CONTROL)) + body[at:]
+    elif kind == "long":
+        body = f"{body}{draw(BLANKS)}{draw(long_tokens())}"
+    else:
+        body = body.rstrip(" \t\x0b\x0c\x1c\x1d\x1e\x1f") + "#" + draw(st.text(JUNK + ": #", max_size=6))
+    return body + eol
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(st.one_of(libsvm_lines(), odd_lines()), max_size=6),
+    n_features=st.one_of(st.none(), st.integers(0, 15)),
+)
+def test_read_matches_the_per_token_reader_on_odd_bytes(tmp_path, lines, n_features):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes("".join(lines).encode("ascii"))
+    assert read_outcome(sg.read_libsvm, str(path), n_features) == read_outcome(
+        read_libsvm_per_token, str(path), n_features
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["+2", "02", "1_0", " 1", ".5", "5.", "-0", "nan", "1e999", "0x10", "1e", "", "1.2.3", "1" * 30]
+)
+@pytest.mark.parametrize("dtype, python", [(np.float64, float), (np.int64, int)], ids=["float", "int"])
+def test_bytes_array_casts_are_pythons_float_and_int(text, dtype, python):
+    # read_libsvm converts every field with these casts, so a numpy that
+    # parsed a spelling its own way would misread files
+    field = np.array([text.encode("ascii")])
+    try:
+        expected = dtype(python(text))
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            field.astype(dtype)
+    else:
+        assert field.astype(dtype).tobytes() == expected.tobytes()
+
+
+def test_read_gathers_a_wide_token_in_bounded_memory(tmp_path):
+    # 50 000 feature tokens and one value of 10 000 characters; gathering
+    # every value as wide as the widest would take 50 000 x 10 000 bytes
+    lines = ["1 " + " ".join(f"{j}:0.5" for j in range(1, 51)) for _ in range(1000)]
+    lines[0] = lines[0].rsplit(" ", 1)[0] + " 50:0." + "1" * 9998
+    path = tmp_path / "wide.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    tracemalloc.start()
+    try:
+        data = sg.read_libsvm(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.X[0, 49] == float("0." + "1" * 9998)
+    assert peak < data.X.nbytes + 24 * path.stat().st_size
 
 
 # --- write_libsvm ------------------------------------------------------------
