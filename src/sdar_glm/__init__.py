@@ -21,11 +21,9 @@ from .families import (
 from .solver import (
     FitResult,
     SdarConfig,
-    SdarState,
     SingularSystemError,
     Termination,
     gsdar_fit,
-    gsdar_step,
     kkt_residual,
     restricted_mle,
     top_t_support,

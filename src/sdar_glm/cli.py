@@ -59,7 +59,7 @@ def parse_sweep(text: str, cast=float) -> list:
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             return [cast(start + i * step) for i in range(count)]
         return [cast(text)]
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):  # an infinite bound overflows the count
         raise UsageError(f"bad sweep {text!r}; use VALUE or START:STEP:STOP") from None
 
 
@@ -74,7 +74,7 @@ def _fmt(value) -> str:
 
 
 def _write_output(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:  # an empty path is an error, not stdout
         with open(output, "w", encoding="ascii") as fh:
             fh.write(text)
     else:

@@ -2,13 +2,19 @@
 
 One outer iteration screens the combined primal-dual vector |beta + tau*d|
 for its T largest entries (the dual d = -grad L plays the role of a
-correlation score on the inactive coordinates), solves the GLM restricted
-to the detected coordinates by damped Newton, and recomputes the dual on
-the complement.  A fixed point of this map is exactly a hard-threshold
+correlation score on the inactive coordinates and counts as zero on the
+active set, where a stationary point has it vanish), solves the GLM
+restricted to the detected coordinates by damped Newton, and recomputes
+the dual.  A fixed point of this map is exactly a hard-threshold
 stationary point, so iteration stops as soon as the detected support
 repeats.  Revisiting any earlier support (a cycle) or exhausting the
 iteration budget also terminates, returning the best iterate seen, which
 makes termination unconditional.
+
+The map has one home, the loop of gsdar_fit.  It keeps its iterate in
+locals: beta, the intercept, the active set and the whole dual -grad L.
+Only the screen zeroes the dual on the active set, in the vector it ranks,
+so the dual the fit returns and certifies is the unmasked gradient.
 
 The restricted Newton systems are small (|support| plus the intercept
 columns) and are solved by calling LAPACK's Cholesky routines directly:
@@ -43,11 +49,9 @@ __all__ = [
     "SingularSystemError",
     "Termination",
     "SdarConfig",
-    "SdarState",
     "FitResult",
     "top_t_support",
     "restricted_mle",
-    "gsdar_step",
     "gsdar_fit",
     "kkt_residual",
 ]
@@ -102,29 +106,6 @@ class SdarConfig:
             raise ValueError("ridge_jitter must be nonnegative")
         if self.coef_cap <= 0.0:
             raise ValueError("coef_cap must be positive")
-
-
-@dataclass(frozen=True)
-class SdarState:
-    """One outer iterate.
-
-    active is the index set the current beta was solved on (empty at
-    iteration 0).  beta and dual have one entry per column of X; X itself
-    is never augmented.  With cfg.with_intercept the intercept rides along
-    in `intercept`: every restricted solve fits it as an extra coefficient
-    and it is never screened.  For every state with iteration >= 1, beta
-    vanishes off the active set and dual vanishes on it, so
-    beta * dual == 0 holds coordinatewise; dual_active keeps the entries
-    of -grad L on the active set that dual zeroes, so the certificate of
-    this iterate needs no second pass over X.
-    """
-
-    beta: np.ndarray
-    dual: np.ndarray
-    active: np.ndarray
-    iteration: int
-    intercept: float = 0.0
-    dual_active: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -279,31 +260,27 @@ def _clip(b: np.ndarray, cap: float) -> None:
     np.minimum(b, cap, out=b)
 
 
-def _detect_support(state: SdarState, cfg: SdarConfig) -> np.ndarray:
-    return top_t_support(state.beta + cfg.step_size_tau * state.dual, cfg.sparsity_t)
-
-
-def _advance(
+def _solve_on(
     family: GlmFamily,
     data: Dataset,
-    state: SdarState,
     support: np.ndarray,
+    init: np.ndarray,
+    intercept: float,
     cfg: SdarConfig,
-) -> SdarState:
-    """Solve on `support` (plus the intercept) and refresh the dual: one pass over X.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Solve on `support` (plus the intercept) from init and return
+    (beta, intercept, dual) with dual = -grad L there: one pass over X.
 
     The intercept's ones column is appended only to the n x |support| block
     that the restricted solve sees.  That block is not scanned for finite
     values: its columns come from the valid `data` and a column of ones.
     """
-    init = state.beta[support]
-    intercept = 0.0
     if cfg.with_intercept:
         columns = np.column_stack([data.X[:, support], np.ones(data.n)])
         block = Dataset(columns, data.y, _x_checked=True)
         try:
             coef = restricted_mle(
-                family, block, np.arange(support.size + 1), np.append(init, state.intercept), cfg
+                family, block, np.arange(support.size + 1), np.append(init, intercept), cfg
             )
         except SingularSystemError:
             # name the design's columns, with the intercept as column p
@@ -313,28 +290,7 @@ def _advance(
         coef = restricted_mle(family, data, support, init, cfg)
     beta = np.zeros(data.p)
     beta[support] = coef
-    dual = -gradient(family, data, beta, intercept)
-    dual_active = dual[support]
-    dual[support] = 0.0
-    return SdarState(
-        beta=beta,
-        dual=dual,
-        active=support,
-        iteration=state.iteration + 1,
-        intercept=intercept,
-        dual_active=dual_active,
-    )
-
-
-def gsdar_step(family: GlmFamily, data: Dataset, state: SdarState, cfg: SdarConfig) -> SdarState:
-    """One outer iteration: detect the support, solve on it, refresh the dual.
-
-    With cfg.with_intercept the intercept is carried in state.intercept,
-    not in a column of data.X: it is solved for together with the detected
-    support and never screened.
-    """
-    support = _detect_support(state, cfg)
-    return _advance(family, data, state, support, cfg)
+    return beta, intercept, -gradient(family, data, beta, intercept)
 
 
 def _certificate(beta: np.ndarray, d: np.ndarray, t: int) -> float:
@@ -377,6 +333,10 @@ def gsdar_fit(
     recurs non-consecutively (the visited iterate with smallest NLL is
     returned), MAX_ITERS otherwise (best iterate returned).
 
+    This loop is the map's only implementation.  Its screen ranks
+    beta + tau * dual with the dual zeroed on the active set, in that
+    vector only; the iterate's dual stays the unmasked -grad L.
+
     A fit reads all of X once for the initial dual and once per outer
     iteration, and never copies it; the returned certificate reuses the
     dual of the chosen iterate, which the result carries as `dual`.  The
@@ -401,47 +361,39 @@ def gsdar_fit(
     if beta.shape != (data.p,):
         raise ValueError(f"beta0 must have shape ({data.p},), got {beta.shape}")
     intercept = float(intercept0) if cfg.with_intercept else 0.0
+    dual = -gradient(family, data, beta, intercept) if _dual0 is None else _dual0
+    active = np.empty(0, dtype=int)
 
-    state = SdarState(
-        beta=beta,
-        dual=-gradient(family, data, beta, intercept) if _dual0 is None else _dual0,
-        active=np.empty(0, dtype=int),
-        iteration=0,
-        intercept=intercept,
-    )
     visited: set[frozenset] = set()
-    best_state, best_nll = None, np.inf
+    chosen, chosen_nll = None, np.inf
     termination = Termination.MAX_ITERS
-    chosen = None
-
     for _ in range(cfg.max_outer_iters):
-        support = _detect_support(state, cfg)
-        if state.iteration > 0 and np.array_equal(support, state.active):
+        u = beta + cfg.step_size_tau * dual
+        u[active] = beta[active]  # the dual vanishes on the active set
+        support = top_t_support(u, t)
+        if np.array_equal(support, active):
             termination = Termination.SUPPORT_STATIONARY
-            chosen, chosen_nll = state, nll
+            chosen, chosen_nll = (beta, intercept, active, dual), nll
             break
         key = frozenset(support.tolist())
         if key in visited:
             termination = Termination.CYCLE_DETECTED
             break
-        state = _advance(family, data, state, support, cfg)
-        nll = negative_log_likelihood(family, data, state.beta, state.intercept)
+        beta, intercept, dual = _solve_on(family, data, support, beta[support], intercept, cfg)
+        active = support
+        nll = negative_log_likelihood(family, data, beta, intercept)
         visited.add(key)
-        if nll < best_nll:
-            best_nll, best_state = nll, state
+        if nll < chosen_nll:
+            chosen, chosen_nll = (beta, intercept, active, dual), nll
 
-    if chosen is None:
-        chosen, chosen_nll = best_state, best_nll  # a cycle, or the budget is spent
-
-    d = chosen.dual.copy()
-    d[chosen.active] = chosen.dual_active
+    beta, intercept, active, dual = chosen
     return FitResult(
-        beta_hat=chosen.beta.copy(),
-        support=chosen.active.copy(),
+        beta_hat=beta,
+        support=active,
         nll=chosen_nll,
-        kkt_residual=_certificate(chosen.beta, d, t),
-        iters=state.iteration,
+        kkt_residual=_certificate(beta, dual, t),
+        iters=len(visited),  # one restricted solve per visited support
         termination=termination,
-        intercept=chosen.intercept,
-        dual=d,
+        intercept=intercept,
+        dual=dual,
     )

@@ -1,10 +1,11 @@
 """Shared instance builders for the test suite, a counter of np.isfinite
 scans for the tests that pin how often a design is checked, and the reference
 implementations that library code is compared against: the exhaustive
-best-subset search and the finite-difference gradient, the per-token LIBSVM
-reader, the AR(1) design recursion over separate draws, and the
-Newton-system solve through scipy.linalg.solve.  None of them is fast;
-each is simple enough to audit by eye.
+best-subset search and the finite-difference gradient, the GSDAR map
+stepped one iterate at a time, the per-token LIBSVM reader, the AR(1)
+design recursion over separate draws, and the Newton-system solve through
+scipy.linalg.solve.  None of them is fast; each is simple enough to audit
+by eye.
 
 All randomness flows through keyed Philox streams, so every instance is a
 pure function of its seed: stream 0 feeds the design, 1 the coefficients,
@@ -23,12 +24,13 @@ from sdar_glm.dataio import LibsvmParseError
 from sdar_glm.families import (
     Dataset,
     GlmFamily,
+    gradient,
     linear_predictor,
     negative_log_likelihood,
     weighted_gram,
 )
 from sdar_glm.rng import as_rng, make_rng
-from sdar_glm.solver import SdarConfig, restricted_mle
+from sdar_glm.solver import SdarConfig, restricted_mle, top_t_support
 
 _ORACLE_BUDGET = 10**6
 
@@ -155,6 +157,23 @@ def restricted_hessian(
     """The Hessian of L on the columns `active` at beta, built as
     restricted_mle builds it: weighted_gram(X_A, c''(X beta), n)."""
     return weighted_gram(data.X[:, active], family.variance(linear_predictor(data, beta)), data.n)
+
+
+def sdar_iterates(family: GlmFamily, data: Dataset, cfg: SdarConfig):
+    """The GSDAR map step by step from beta = 0, without an intercept or any
+    stopping rule: yields (beta, dual, active) after each of the
+    cfg.max_outer_iters restricted solves, where dual = -grad L is set to 0
+    on active, as the paper writes the iterate."""
+    beta = np.zeros(data.p)
+    dual = -gradient(family, data, beta)
+    for _ in range(cfg.max_outer_iters):
+        active = top_t_support(beta + cfg.step_size_tau * dual, cfg.sparsity_t)
+        coef = restricted_mle(family, data, active, beta[active], cfg)
+        beta = np.zeros(data.p)
+        beta[active] = coef
+        dual = -gradient(family, data, beta)
+        dual[active] = 0.0
+        yield beta, dual, active
 
 
 def ar1_design_with_separate_draws(n: int, p: int, rho: float, seed) -> np.ndarray:

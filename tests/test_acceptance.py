@@ -21,7 +21,6 @@ import sdar_glm as sg
 from sdar_glm.cli import SCHEMA_LINE, main
 from sdar_glm.families import gradient
 from sdar_glm.rng import make_rng
-from sdar_glm.solver import SdarState
 
 from helpers import (
     best_subset_exhaustive,
@@ -341,18 +340,14 @@ def test_c09_property_spot_checks(tmp_path):
     hess_rel = float(np.max(np.abs(H - Hfd)) / max(1.0, np.max(np.abs(H))))
     checks.append(("hessian fd rel err <= 1e-4", hess_rel <= 1e-4))
 
-    # every emitted iterate keeps the primal and dual exactly complementary
-    cfg = sg.SdarConfig(sparsity_t=3)
-    state = SdarState(
-        beta=np.zeros(12),
-        dual=-gradient(sg.LOGISTIC, data, np.zeros(12)),
-        active=np.empty(0, dtype=int),
-        iteration=0,
-    )
+    # every fit keeps the primal and dual complementary: beta_hat vanishes
+    # off the support exactly, the dual on it to the Newton tolerance
     comp = True
-    for _ in range(4):
-        state = sg.gsdar_step(sg.LOGISTIC, data, state, cfg)
-        comp = comp and bool(np.all(state.beta * state.dual == 0.0))
+    for k in range(1, 5):
+        cfg = sg.SdarConfig(sparsity_t=3, max_outer_iters=k)
+        fit = sg.gsdar_fit(sg.LOGISTIC, data, cfg)
+        comp = comp and np.array_equal(np.flatnonzero(fit.beta_hat), fit.support)
+        comp = comp and bool(np.abs(fit.dual[fit.support]).max() <= cfg.newton_grad_tol)
     checks.append(("complementarity at every iterate", comp))
 
     # the active set keeps exactly T members under adversarial ties
@@ -362,16 +357,10 @@ def test_c09_property_spot_checks(tmp_path):
     Xd[:, 2] = Xd[:, 0]
     yd = (Xd[:, 0] + 0.3 * rng.standard_normal(40) > 0).astype(float)
     tie_data = sg.Dataset(Xd, yd)
-    tie_state = SdarState(
-        beta=np.zeros(6),
-        dual=-gradient(sg.LOGISTIC, tie_data, np.zeros(6)),
-        active=np.empty(0, dtype=int),
-        iteration=0,
-    )
     sizes_ok = True
-    for _ in range(3):
-        tie_state = sg.gsdar_step(sg.LOGISTIC, tie_data, tie_state, sg.SdarConfig(sparsity_t=2))
-        sizes_ok = sizes_ok and tie_state.active.size == 2
+    for k in range(1, 4):
+        tie_cfg = sg.SdarConfig(sparsity_t=2, max_outer_iters=k)
+        sizes_ok = sizes_ok and sg.gsdar_fit(sg.LOGISTIC, tie_data, tie_cfg).support.size == 2
     checks.append(("|active| == T under exact ties", sizes_ok))
 
     # discovery-rate identity over random index sets

@@ -16,8 +16,8 @@ PUBLIC_NAMES = {
     "NumericOverflowError", "get_family", "gradient", "linear_predictor",
     "negative_log_likelihood",
     # solver
-    "FitResult", "SdarConfig", "SdarState", "SingularSystemError", "Termination",
-    "gsdar_fit", "gsdar_step", "kkt_residual", "restricted_mle", "top_t_support",
+    "FitResult", "SdarConfig", "SingularSystemError", "Termination",
+    "gsdar_fit", "kkt_residual", "restricted_mle", "top_t_support",
     # path
     "AgsdarConfig", "PathPoint", "PathResult", "agsdar_fit", "hbic",
     # simulate

@@ -71,6 +71,17 @@ def test_parse_sweep_rejects_nonpositive_float_steps():
         parse_sweep("0.1:-0.1:0.5")
 
 
+@pytest.mark.parametrize("text", ["0:1:inf", "-inf:1:0"])
+def test_parse_sweep_rejects_infinite_float_bounds(text, capsys):
+    # the value count (stop - start) / step overflows instead of building a list
+    with pytest.raises(UsageError, match="bad sweep"):
+        parse_sweep(text)
+    argv = ["simulate", "--scheme", "ar1", "--n", "10", "--p", "5", "--K", "1", f"--rho={text}"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: bad sweep {text!r}")
+
+
 # --- fit ---------------------------------------------------------------------
 
 def test_fit_reports_the_planted_support(tmp_path, capsys):
@@ -129,6 +140,26 @@ def test_output_file_matches_stdout(tmp_path, capsys, argv):
     code, piped, _ = run_cli(argv + ["--output", str(out_path)], capsys)
     assert code == 0 and piped == ""
     assert out_path.read_text(encoding="ascii") == printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--family", "logistic", "--data", "TRAIN", "--T", "1"],
+        ["path", "--family", "logistic", "--data", "TRAIN", "--Q", "3"],
+        ["simulate", "--scheme", "ar1", "--n", "50", "--p", "12", "--K", "2", "--reps", "1"],
+        ["bench-iters", "--n", "50", "--p", "12", "--K", "2", "--reps", "1"],
+        ["real-data", "--train", "TRAIN", "--train-size", "40"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_empty_output_path_is_an_error(tmp_path, capsys, argv):
+    # '' names no file: it is not a request for stdout
+    train_path = planted_file(tmp_path)
+    argv = [train_path if arg == "TRAIN" else arg for arg in argv]
+    code, out, err = run_cli(argv + ["--output", ""], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: [Errno 2] No such file or directory: ''"]
 
 
 @pytest.mark.parametrize("standardize", ["none", "mean0var1", "length-sqrt-n"])

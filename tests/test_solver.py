@@ -12,7 +12,7 @@ from scipy.special import expit
 import sdar_glm as sg
 from sdar_glm.families import gradient, negative_log_likelihood, weighted_gram
 from sdar_glm.rng import make_rng
-from sdar_glm.solver import SdarState, _cholesky_solve, _solve_newton_system, restricted_mle
+from sdar_glm.solver import _cholesky_solve, _solve_newton_system, restricted_mle
 
 from helpers import (
     count_finite_scans,
@@ -20,20 +20,10 @@ from helpers import (
     logistic_instance,
     newton_solve_reference,
     orthogonal_design,
+    sdar_iterates,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
-def fresh_state(family, data):
-    """Iteration-0 state: beta = 0, dual = -grad L(0), empty active set."""
-    beta = np.zeros(data.p)
-    return SdarState(
-        beta=beta,
-        dual=-gradient(family, data, beta),
-        active=np.empty(0, dtype=int),
-        iteration=0,
-    )
 
 
 # --- top_t_support -----------------------------------------------------------
@@ -319,36 +309,39 @@ def test_sdar_config_rejects_bad_values(kwargs):
         sg.SdarConfig(**kwargs)
 
 
-# --- one outer step ----------------------------------------------------------
+# --- the first outer steps ---------------------------------------------------
 
 def test_first_step_screens_the_plain_dual():
     data, _, _ = logistic_instance(5, 60, 12, 3)
-    cfg = sg.SdarConfig(sparsity_t=3)
-    state = fresh_state(sg.LOGISTIC, data)
-    stepped = sg.gsdar_step(sg.LOGISTIC, data, state, cfg)
-    assert np.array_equal(stepped.active, sg.top_t_support(state.dual, 3))
-    assert stepped.iteration == 1
+    fit = sg.gsdar_fit(sg.LOGISTIC, data, sg.SdarConfig(sparsity_t=3, max_outer_iters=1))
+    dual = -gradient(sg.LOGISTIC, data, np.zeros(12))
+    assert np.array_equal(fit.support, sg.top_t_support(dual, 3))
+    assert fit.iters == 1
 
 
 def test_first_step_support_is_tau_invariant():
     # at beta = 0 the screen is top-T of |tau * d|, the same set for any tau
     data, _, _ = logistic_instance(5, 60, 12, 3)
-    state = fresh_state(sg.LOGISTIC, data)
     supports = [
-        sg.gsdar_step(sg.LOGISTIC, data, state, sg.SdarConfig(sparsity_t=3, step_size_tau=tau)).active
+        sg.gsdar_fit(
+            sg.LOGISTIC, data, sg.SdarConfig(sparsity_t=3, step_size_tau=tau, max_outer_iters=1)
+        ).support
         for tau in (0.25, 0.5, 1.0)
     ]
     assert all(np.array_equal(s, supports[0]) for s in supports)
 
 
 def test_iterates_satisfy_complementarity_exactly():
+    # beta_hat vanishes off the support exactly, and the dual on the support
+    # is the restricted gradient at the Newton tolerance: zeroing it there,
+    # as the screen does, drops nothing but that tolerance
     data, _, _ = logistic_instance(9, 80, 15, 4)
-    cfg = sg.SdarConfig(sparsity_t=4)
-    state = fresh_state(sg.LOGISTIC, data)
-    for _ in range(4):
-        state = sg.gsdar_step(sg.LOGISTIC, data, state, cfg)
-        assert np.all(state.beta * state.dual == 0.0)
-        assert state.active.size == 4
+    for k in range(1, 5):
+        cfg = sg.SdarConfig(sparsity_t=4, max_outer_iters=k)
+        fit = sg.gsdar_fit(sg.LOGISTIC, data, cfg)
+        assert fit.support.size == 4
+        assert np.array_equal(np.flatnonzero(fit.beta_hat), fit.support)
+        assert np.abs(fit.dual[fit.support]).max() <= cfg.newton_grad_tol
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -360,12 +353,11 @@ def test_duplicate_columns_still_yield_exactly_t_active():
     X[:, 2] = X[:, 0]
     y = (X[:, 0] + 0.3 * rng.standard_normal(40) > 0).astype(float)
     data = sg.Dataset(X, y)
-    cfg = sg.SdarConfig(sparsity_t=2)
-    state = fresh_state(sg.LOGISTIC, data)
-    assert state.dual[0] == state.dual[1] == state.dual[2]
-    for _ in range(3):
-        state = sg.gsdar_step(sg.LOGISTIC, data, state, cfg)
-        assert state.active.size == 2
+    dual = -gradient(sg.LOGISTIC, data, np.zeros(6))
+    assert dual[0] == dual[1] == dual[2]
+    for k in range(1, 4):
+        fit = sg.gsdar_fit(sg.LOGISTIC, data, sg.SdarConfig(sparsity_t=2, max_outer_iters=k))
+        assert fit.support.size == 2
 
 
 # --- gsdar_fit ---------------------------------------------------------------
@@ -403,12 +395,10 @@ def test_strong_signal_recovers_support_and_certifies():
 def test_nll_decreases_across_outer_iterations_on_easy_instances():
     for seed in (0, 1, 2, 3, 4):
         data, _, _ = gaussian_instance(seed, 80, 20, 3)
-        cfg = sg.SdarConfig(sparsity_t=3)
-        state = fresh_state(sg.GAUSSIAN, data)
-        prev = negative_log_likelihood(sg.GAUSSIAN, data, state.beta)
-        for _ in range(4):
-            state = sg.gsdar_step(sg.GAUSSIAN, data, state, cfg)
-            cur = negative_log_likelihood(sg.GAUSSIAN, data, state.beta)
+        cfg = sg.SdarConfig(sparsity_t=3, max_outer_iters=4)
+        prev = negative_log_likelihood(sg.GAUSSIAN, data, np.zeros(data.p))
+        for beta, _, _ in sdar_iterates(sg.GAUSSIAN, data, cfg):
+            cur = negative_log_likelihood(sg.GAUSSIAN, data, beta)
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -425,18 +415,63 @@ def test_cycle_detection_returns_best_visited_iterate():
     assert fit.termination is sg.Termination.CYCLE_DETECTED
 
     # replay the trajectory: the fit must match the smallest visited NLL
-    state = fresh_state(sg.GAUSSIAN, data)
     seen = set()
     nlls = []
-    for _ in range(cfg.max_outer_iters):
-        state = sg.gsdar_step(sg.GAUSSIAN, data, state, cfg)
-        key = frozenset(state.active.tolist())
+    for beta, _, active in sdar_iterates(sg.GAUSSIAN, data, cfg):
+        key = frozenset(active.tolist())
         if key in seen:
             break
         seen.add(key)
-        nlls.append(negative_log_likelihood(sg.GAUSSIAN, data, state.beta))
+        nlls.append(negative_log_likelihood(sg.GAUSSIAN, data, beta))
     assert len(nlls) >= 2
     assert fit.nll == min(nlls)
+
+
+def reference_selection(family, data, cfg):
+    """(termination, iters, (nll, beta, active)): gsdar_fit's stopping rules
+    applied to the step-by-step trajectory of sdar_iterates."""
+    visited, best = set(), None
+    for k, (beta, dual, active) in enumerate(sdar_iterates(family, data, cfg), start=1):
+        visited.add(frozenset(active.tolist()))
+        nll = negative_log_likelihood(family, data, beta)
+        if best is None or nll < best[0]:
+            best = (nll, beta, active)
+        if k == cfg.max_outer_iters:
+            break
+        screened = sg.top_t_support(beta + cfg.step_size_tau * dual, cfg.sparsity_t)
+        if np.array_equal(screened, active):
+            return sg.Termination.SUPPORT_STATIONARY, k, (nll, beta, active)
+        if frozenset(screened.tolist()) in visited:
+            return sg.Termination.CYCLE_DETECTED, k, best
+    return sg.Termination.MAX_ITERS, k, best
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    family=st.sampled_from([sg.LOGISTIC, sg.GAUSSIAN]),
+    t=st.integers(1, 6),
+    tau=st.sampled_from([0.3, 1.0]),
+    max_outer_iters=st.integers(1, 8),
+    newton_max_iters=st.sampled_from([1, 2, 50]),
+)
+def test_fit_follows_the_step_by_step_map(seed, family, t, tau, max_outer_iters,
+                                          newton_max_iters):
+    # Early-stopped Newton solves leave weight in the dual on the active set,
+    # which the screen must ignore exactly as the paper's zeroed dual does.
+    # Column scales over two decades make that weight count: d_j grows with
+    # the column norm and beta_j shrinks with it.
+    instance = logistic_instance if family is sg.LOGISTIC else gaussian_instance
+    data, _, _ = instance(seed, 30, 12, 3)
+    data = sg.Dataset(data.X * 10.0 ** make_rng(seed, 3).uniform(-1.0, 1.0, 12), data.y)
+    cfg = sg.SdarConfig(sparsity_t=t, step_size_tau=tau, max_outer_iters=max_outer_iters,
+                        newton_max_iters=newton_max_iters)
+    fit = sg.gsdar_fit(family, data, cfg)
+    termination, iters, (nll, beta, active) = reference_selection(family, data, cfg)
+    assert (fit.termination, fit.iters, fit.nll) == (termination, iters, nll)
+    assert fit.beta_hat.tobytes() == beta.tobytes()
+    assert np.array_equal(fit.support, active)
 
 
 def test_iteration_budget_returns_best_iterate():
