@@ -37,6 +37,9 @@ from .simulate import (
 from .solver import SdarConfig, SingularSystemError, gsdar_fit
 
 SCHEMA_LINE = "# sdar-glm v1"
+# the most values a START:STEP:STOP sweep may hold; its length is computed
+# before any value is made
+MAX_SWEEP_VALUES = 10_000
 
 
 class UsageError(Exception):
@@ -57,10 +60,14 @@ def parse_sweep(text: str, cast=float) -> list:
             if step <= 0 or stop < start:
                 raise ValueError
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            if count > MAX_SWEEP_VALUES:
+                raise ValueError
             return [cast(start + i * step) for i in range(count)]
         return [cast(text)]
     except (ValueError, TypeError, OverflowError):  # an infinite bound overflows the count
-        raise UsageError(f"bad sweep {text!r}; use VALUE or START:STEP:STOP") from None
+        raise UsageError(
+            f"bad sweep {text!r}; use VALUE or START:STEP:STOP with at most {MAX_SWEEP_VALUES} values"
+        ) from None
 
 
 def _fmt(value) -> str:

@@ -10,11 +10,16 @@ out; the bytes at which str.split() splits (\t, \v, \f, \x1c-\x1f and
 space, with \r and \n ending a line as text mode reads them) cut the rest
 into tokens, whose bounds come from the positions of those bytes; the first
 token of each line is its label, and each other token must hold exactly one
-colon with both sides nonempty.  Labels, indices and values are gathered
-into fixed-width bytes arrays, in classes of similar width so that one long
-token does not widen the rest, and numpy casts those to float64 and int64
-with Python's own float and int, so spellings such as `+2`, `02`, `1_0`,
-`nan` and `1e999` read as they do in Python.  A byte above 127 anywhere, or
+colon with both sides nonempty.  Labels, indices and values are converted
+in classes of similar width, so that one long token does not widen the rest.
+Canonical spellings, [+-]?digits[.digits] with at most 15 digits for labels
+and values and at most 18 digits for indices, are read with exact integer
+arithmetic in numpy: the digits form an integer below 2**53, and one
+division by a power of ten gives the correctly rounded double that Python's
+float() returns.  Every other field is gathered into a fixed-width bytes
+array that numpy casts to float64 or int64 with Python's own float and int,
+so spellings such as `+2`, `1_0`, `nan` and `1e999` read, or fail, as they
+do in Python.  A byte above 127 anywhere, or
 a control byte outside a comment, makes the byte pass give up.  The
 positivity, ordering and finiteness checks run on whole arrays, and a single
 assignment fills X.  When any check fails, the file is read again as ASCII
@@ -163,30 +168,122 @@ def _tokenize(raw: bytes) -> tuple[np.ndarray, ...] | None:
 
 
 def _convert(window: np.ndarray, starts: np.ndarray, stops: np.ndarray, dtype) -> np.ndarray:
-    """The fields window[starts:stops] cast to dtype from fixed-width bytes.
+    """The fields window[starts:stops] cast to dtype, with the bits and errors
+    of Python's float and int.
 
-    numpy casts a bytes array to float64 and int64 with Python's own float and
-    int, so every spelling, bit and error is Python's.  Fields are gathered in
-    classes of lengths (2**(k-1), 2**k], each as wide as its longest field, so
-    the gather never takes more than twice the fields' bytes.
+    Fields are read in classes of similar width: those up to 8 bytes long,
+    then lengths (2**(k-1), 2**k] for k > 3.  In a class no wider than a
+    canonical spelling (17 bytes for a float, 18 for an int),
+    _read_canonical reads the canonical fields exactly; every other field is
+    cast by _cast_with_python.  So a gather never takes more than 8 bytes a
+    field, or twice the field's bytes.
     """
     lens = stops - starts
     out = np.empty(lens.size, dtype)
-    width_class = np.frexp(lens - 1)[1]  # k with 2**(k-1) < length <= 2**k
-    for k in np.flatnonzero(np.bincount(width_class)):
-        sel = np.flatnonzero(width_class == k)
-        size = lens[sel]
-        width = int(size.max())
-        # the `width` bytes at each offset of window, as one bytes item
-        items = np.ndarray((window.size - width + 1,), f"S{width}", window, strides=(1,))
-        fields = items[starts[sel]]
-        # NULs past each field's end pad a bytes array; they fall in the
-        # columns from the shortest field's length on
-        least = int(size.min())
-        tail = fields.view(np.uint8).reshape(-1, width)[:, least:]
-        tail *= np.arange(least, width) < size[:, None]
-        out[sel] = fields
+    for sel in _width_classes(lens):
+        pos, size = starts[sel], lens[sel]
+        if size.max() > _CANONICAL_WIDTH[dtype]:
+            out[sel] = _cast_with_python(window, pos, size, dtype)
+            continue
+        values, canonical = _read_canonical(window, pos, size, dtype)
+        slow = np.flatnonzero(~canonical)
+        if slow.size:
+            values[slow] = _cast_with_python(window, pos[slow], size[slow], dtype)
+        out[sel] = values
     return out
+
+
+def _width_classes(lens: np.ndarray) -> list:
+    """The fields of each width class (up to 8 bytes, then (2**(k-1), 2**k]),
+    as index arrays; one slice when all fields share a class."""
+    width_class = np.zeros(lens.size, np.uint8)
+    bound, longest = 8, int(lens.max(initial=0))
+    while bound < longest:
+        width_class += lens > bound
+        bound *= 2
+    counts = np.bincount(width_class)
+    if np.count_nonzero(counts) == 1:
+        return [slice(None)]
+    return [np.flatnonzero(width_class == k) for k in np.flatnonzero(counts)]
+
+
+# the widest canonical spellings: a sign, 15 digits and a dot; 18 digits
+_CANONICAL_WIDTH = {np.float64: 17, np.int64: 18}
+# 10**f for f = 0..17, each an exact double, then their negatives
+_DIVISORS = np.array([float(10**f) for f in range(18)] + [-float(10**f) for f in range(18)])
+
+
+def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dtype):
+    """The values of the fields window[starts:starts+lens], and which of
+    them are canonical and so exact.  The fields are nonempty, hold no NUL
+    (the tokenizer rejects control bytes) and are at most 17 (float) or 18
+    (int) bytes long.
+
+    A canonical float is [+-]?digits[.digits] with 1 to 15 digits, and a
+    canonical int is 1 to 18 digits.  The digits, dot left out, form an
+    integer m below 10**15 < 2**53 (10**18 < 2**63 for an int), so m and
+    10**f, f the digits after the dot, are exact doubles, and m / 10**f is
+    one correctly rounded division: the bits of Python's correctly rounded
+    float() (Clinger's fast path).  A leading '-' divides by -10**f, which
+    gives -0.0 for '-0' as float() does.  The values of fields that are not
+    canonical are left unspecified.
+
+    The fields are read one byte column at a time, bytes past a field's end
+    counting as NUL; each column updates m and the counts of digits, dots
+    and digits after the dot.
+    """
+    real = dtype == np.float64
+    n, width = lens.size, int(lens.max())
+    lens = lens.astype(np.uint8)
+    least = int(lens.min())
+    m = np.zeros(n, np.int32 if width <= 9 else np.int64)  # 9 digits < 2**31
+    digits = np.zeros(n, np.uint8)
+    dots = np.zeros(n, np.uint8)
+    frac = np.zeros(n, np.uint8)
+    junk = np.zeros(n, bool)
+    for c in range(width):
+        b = np.take(window[c:], starts)  # byte c of every field
+        if c >= least:
+            b *= lens > c
+        d = b - np.uint8(48)
+        digit = d < 10
+        allowed = digit | (b == 0)
+        if real:
+            if c == 0:
+                neg = b == 45
+                allowed |= neg | (b == 43)
+            dot = b == 46
+            allowed |= dot
+            digits += digit
+            frac += digit & (dots > 0)
+            dots += dot
+        junk |= ~allowed
+        m *= digit * np.uint8(9) + np.uint8(1)  # times 10 at a digit, else 1
+        d *= digit
+        m += d
+    if not real:
+        return m.astype(np.int64), ~junk
+    canonical = ~junk & (dots <= 1) & (digits >= 1) & (digits <= 15)
+    frac += np.uint8(18) * neg
+    return m / np.take(_DIVISORS, frac), canonical
+
+
+def _cast_with_python(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dtype) -> np.ndarray:
+    """The fields gathered into one fixed-width bytes array and cast to dtype.
+
+    numpy casts a bytes array to float64 and int64 with Python's own float
+    and int, so every spelling, bit and error is Python's.
+    """
+    width = int(lens.max())
+    # the `width` bytes at each offset of window, as one bytes item
+    items = np.ndarray((window.size - width + 1,), f"S{width}", window, strides=(1,))
+    fields = items[starts]
+    # NULs past each field's end pad a bytes array; they fall in the
+    # columns from the shortest field's length on
+    least = int(lens.min())
+    tail = fields.view(np.uint8).reshape(-1, width)[:, least:]
+    tail *= np.arange(least, width) < lens[:, None]
+    return fields.astype(dtype)
 
 
 def _raise_first_bad_line(path: str) -> NoReturn:

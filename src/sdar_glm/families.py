@@ -24,11 +24,12 @@ from scipy.special import expit
 
 
 class NumericOverflowError(ArithmeticError):
-    """A linear predictor x_i . beta evaluated to a non-finite value."""
+    """A linear predictor x_i . beta, or the NLL summed up to observation i,
+    evaluated to a non-finite value."""
 
-    def __init__(self, row: int):
+    def __init__(self, row: int, quantity: str = "linear predictor"):
         self.row = int(row)
-        super().__init__(f"linear predictor overflowed at observation {self.row}")
+        super().__init__(f"{quantity} overflowed at observation {self.row}")
 
 
 class GlmFamily:

@@ -38,8 +38,10 @@ from scipy import linalg as sla
 from .families import (
     Dataset,
     GlmFamily,
+    NumericOverflowError,
     gradient,
     gradient_at_theta,
+    linear_predictor,
     negative_log_likelihood,
     require_finite,
     weighted_gram,
@@ -307,6 +309,24 @@ def _certificate(beta: np.ndarray, d: np.ndarray, t: int) -> float:
     return float(np.max(np.abs(beta - h)))
 
 
+def _nll_overflow_row(family: GlmFamily, data: Dataset, beta: np.ndarray, intercept: float) -> int:
+    """The observation i at which the NLL at (beta, intercept) stops being
+    finite: that of rows 0..i-1 is finite, that of rows 0..i is not.
+
+    With a non-finite term, this is the first such observation.  A
+    bisection over the row prefixes, which needs the whole NLL non-finite.
+    """
+    theta = linear_predictor(data, beta, intercept)
+    lo, hi = 0, data.n  # the first lo rows give a finite NLL, the first hi do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.isfinite(family.nll(data.y[:mid], theta[:mid])):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def kkt_residual(family: GlmFamily, data: Dataset, fit: FitResult, t: int) -> float:
     """Stationarity certificate for a fit on `data` (0 means exact fixed point).
 
@@ -386,6 +406,10 @@ def gsdar_fit(
         if nll < chosen_nll:
             chosen, chosen_nll = (beta, intercept, active, dual), nll
 
+    if chosen is None:  # the NLL of every iterate overflowed; none is better than another
+        raise NumericOverflowError(
+            _nll_overflow_row(family, data, beta, intercept), "negative log-likelihood"
+        )
     beta, intercept, active, dual = chosen
     return FitResult(
         beta_hat=beta,

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sdar_glm as sg
 from sdar_glm.cli import SCHEMA_LINE, UsageError, main, parse_sweep
@@ -80,6 +81,19 @@ def test_parse_sweep_rejects_infinite_float_bounds(text, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"error: bad sweep {text!r}")
+
+
+def test_parse_sweep_rejects_more_values_than_the_cap(capsys):
+    with pytest.raises(UsageError, match="bad sweep '0:1:20000'"):
+        parse_sweep("0:1:20000")
+    assert len(parse_sweep("1:1:10000", int)) == 10_000  # the cap itself is allowed
+    # the length is computed, not built: 1e300 values are rejected at once
+    with pytest.raises(UsageError, match="at most 10000 values"):
+        parse_sweep("0:1e-300:1")
+    argv = ["simulate", "--scheme", "ar1", "--n", "10", "--p", "5", "--K", "1", "--rho", "0:1e-300:1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad sweep '0:1e-300:1'")
 
 
 # --- fit ---------------------------------------------------------------------
@@ -247,6 +261,35 @@ def test_solver_failure_exits_two(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert err.startswith("solver error:")
+
+
+def overflowing_gaussian_file(tmp_path):
+    # every residual square overflows, so every iterate has NLL +inf
+    path = tmp_path / "huge_y.txt"
+    path.write_text(
+        "1e160 1:1.0 2:0.5\n-1e160 1:-1.0 2:0.25\n1e160 1:0.5 2:-1.0\n"
+        "-1e160 1:2.0 2:1.0\n1e160 1:-0.5 2:0.75\n",
+        encoding="ascii",
+    )
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_fit_whose_every_nll_overflows_exits_two(tmp_path, capsys):
+    argv = ["fit", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path), "--T", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "solver error: negative log-likelihood overflowed at observation 0\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_path_level_whose_every_nll_overflows_is_a_failed_row(tmp_path, capsys):
+    argv = ["path", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[1] == ["1", "", "", "", "", "", "0",
+                       "negative log-likelihood overflowed at observation 0"]
 
 
 # --- path --------------------------------------------------------------------
@@ -500,3 +543,96 @@ def test_real_data_rejects_both_split_styles(tmp_path, capsys):
 
 def test_schema_line_is_frozen():
     assert SCHEMA_LINE == "# sdar-glm v1"
+
+
+# --- no argv escapes as a traceback ------------------------------------------
+
+# feature values and labels for tiny files: zeros, signs, huge magnitudes
+# whose squares overflow, and labels outside {0, 1} and {-1, +1}
+TINY_VALUES = ["0", "1", "-1", "0.5", "3", "1e160", "-1e160", "1e300"]
+TINY_LABELS = ["0", "1", "-1", "0.5", "2", "1e160", "-1e160"]
+
+
+def draw_tiny_file(draw, path):
+    rows = draw(st.integers(1, 6))
+    features = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(rows):
+        tokens = [draw(st.sampled_from(TINY_LABELS))]
+        for j in range(1, features + 1):
+            if draw(st.booleans()):
+                tokens.append(f"{j}:{draw(st.sampled_from(TINY_VALUES))}")
+        lines.append(" ".join(tokens) + "\n")
+    path.write_text("".join(lines), encoding="ascii")
+    return str(path)
+
+
+def draw_flags(draw, choices):
+    """Each option of `choices` given or left out, with a drawn value
+    (None: a flag without a value)."""
+    argv = []
+    for flag, values in choices.items():
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(values))
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+SOLVER_FLAGS = {"--tau": ["1", "0.5", "0", "2"], "--max-outer-iters": ["1", "3", "0"],
+                "--intercept": [None]}
+DATA_FLAGS = {"--n-features": ["0", "2", "6"],
+              "--standardize": ["none", "mean0var1", "length-sqrt-n"]}
+
+
+def draw_argv(draw, tmp_path):
+    command = draw(st.sampled_from(["fit", "path", "simulate", "bench-iters", "real-data"]))
+    family = ["--family", draw(st.sampled_from(["logistic", "gaussian"]))]
+    if command == "fit":
+        return ["fit", *family, "--data", draw_tiny_file(draw, tmp_path / "a.txt"),
+                "--T", draw(st.sampled_from(["1", "2", "0", "9"])),
+                *draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS})]
+    if command == "path":
+        return ["path", *family, "--data", draw_tiny_file(draw, tmp_path / "a.txt"),
+                *draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS, "--Q": ["0", "1", "3"],
+                                   "--theta": ["1", "2", "0"], "--stop-nll": ["0.5"],
+                                   "--stop-change": ["0.01"], "--cold-start": [None],
+                                   "--full-path": [None]})]
+    if command == "real-data":
+        argv = ["real-data", *family, "--train", draw_tiny_file(draw, tmp_path / "a.txt")]
+        if draw(st.booleans()):
+            argv += ["--test", draw_tiny_file(draw, tmp_path / "b.txt")]
+        return argv + draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS,
+                                        "--train-size": ["0", "1", "3"],
+                                        "--T": ["1", "2", "0"], "--seed": ["0", "5"]})
+    # at most 2 replications (the default is 100) and sweeps of 2 values
+    replication = ["--reps", draw(st.sampled_from(["1", "2", "0"])), *draw_flags(draw, {
+        "--seed": ["0", "3"], "--tau": ["1", "0.5", "0"],
+        "--rho": ["0.3", "0:1:1", "-0.5", "1.5"], "--R": ["3", "0.5", "-1"]})]
+    if command == "simulate":
+        return ["simulate", "--scheme", draw(st.sampled_from(["ar1", "banded"])),
+                "--n", draw(st.sampled_from(["8", "6:6:12", "0", "2"])),
+                "--p", draw(st.sampled_from(["3", "3:3:6", "0"])),
+                "--K", draw(st.sampled_from(["1", "1:1:2", "0", "5"])), *replication,
+                *draw_flags(draw, {"--solver": ["gsdar", "agsdar"], "--T": ["1", "3", "0"],
+                                   "--theta": ["1", "0"], "--Q": ["2", "0"],
+                                   "--split": ["0.5", "0", "1.5"]})]
+    return ["bench-iters", "--n", draw(st.sampled_from(["8", "0", "3"])),
+            "--p", draw(st.sampled_from(["3", "6", "0"])),
+            "--K", draw(st.sampled_from(["1", "1:1:2", "0", "4"])), *replication]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_argv_escapes_as_a_traceback(tmp_path, capsys, data):
+    # tiny files and small sweeps over all five subcommands: every argv ends
+    # in exit code 0, 1 or 2, or in argparse's own exit; nothing else raises
+    argv = draw_argv(data.draw, tmp_path)
+    if data.draw(st.sampled_from([False] * 19 + [True])):
+        argv.append(data.draw(st.sampled_from(["--help", "--bogus", "--output"])))
+    try:
+        code = main(argv)
+    except SystemExit:
+        code = 0
+    capsys.readouterr()
+    assert code in (0, 1, 2)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sdar_glm as sg
+from sdar_glm import dataio
 from sdar_glm.dataio import pad_features
+from sdar_glm.rng import make_rng
 
 from helpers import read_libsvm_per_token
 
@@ -231,6 +233,93 @@ def test_bytes_array_casts_are_pythons_float_and_int(text, dtype, python):
             field.astype(dtype)
     else:
         assert field.astype(dtype).tobytes() == expected.tobytes()
+
+
+# --- the exact path for canonical decimals -----------------------------------
+
+@st.composite
+def decimals(draw):
+    """[+-]?digits[.digits] with 1 to 17 digits, some with a dot and no
+    digits after it."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=17))
+    after = draw(st.integers(0, len(digits)))  # digits after the dot
+    head, tail = digits[: len(digits) - after], digits[len(digits) - after:]
+    dot = "." if tail or draw(st.booleans()) else ""
+    return draw(st.sampled_from(["", "", "-", "+"])) + head + dot + tail
+
+
+FLOAT_FIELDS = st.one_of(
+    decimals(),
+    st.sampled_from([
+        "-0", "-0.000", "+.5", "5.", ".5", "-.0",
+        "123456789012345", "1234567890123456",  # 15 and 16 digits
+        ".123456789012345", ".1234567890123456",  # 15 and 16 after the dot
+        "9007199254740993", "0.1", "-999999999999999.9",
+        "95.58291673297863",  # 16 digits: m / 10**f would round twice, and wrongly
+    ]),
+    # spellings that only Python's float reads, or rejects
+    st.sampled_from(["+7", "1_0", "1e5", "-2E+2", "nan", "-inf", "1e999",
+                     ".", "-", "+", "1.2.3", "--1", "0x1", "1-"]),
+)
+INT_FIELDS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=20),  # 18 digits fit int64, 20 may not
+    st.sampled_from(["007", "999999999999999999", "9223372036854775807",
+                     "9223372036854775808", "+7", "1_0", "-3", "1.0", "a"]),
+)
+
+
+def convert_fields(fields, dtype):
+    """dataio._convert on the fields laid out one blank apart."""
+    lens = np.array([len(f) for f in fields])
+    starts = np.cumsum(lens + 1) - lens - 1
+    text = np.frombuffer(" ".join(fields).encode("ascii"), np.uint8)
+    window = np.concatenate([text, np.zeros(int(lens.max()), np.uint8)])
+    return dataio._convert(window, starts, starts + lens, dtype)
+
+
+def python_outcome(text, dtype, python):
+    """The bytes of dtype(python(text)), or the type of its error."""
+    try:
+        return np.array([python(text)], dtype).tobytes()
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond int64
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    floats=st.lists(FLOAT_FIELDS, min_size=1, max_size=12),
+    ints=st.lists(INT_FIELDS, min_size=1, max_size=12),
+)
+def test_canonical_decimals_read_exactly(floats, ints):
+    # canonical and other spellings share width classes; each field reads
+    # as Python reads it, and a field Python rejects raises its error
+    for fields, dtype, python in [(floats, np.float64, float), (ints, np.int64, int)]:
+        outcomes = [python_outcome(f, dtype, python) for f in fields]
+        good = [f for f, o in zip(fields, outcomes) if isinstance(o, bytes)]
+        if good:
+            assert convert_fields(good, dtype).tobytes() == b"".join(
+                o for o in outcomes if isinstance(o, bytes)
+            )
+        for field, outcome in zip(fields, outcomes):
+            if not isinstance(outcome, bytes):
+                with pytest.raises(outcome):
+                    convert_fields([*good, field], dtype)
+
+
+def test_canonical_file_never_calls_the_python_cast(tmp_path, monkeypatch):
+    X = np.round(make_rng(23).standard_normal((50, 12)), 3)
+    X[make_rng(24).random(X.shape) < 0.5] = 0.0
+    y = np.where(make_rng(25).random(50) < 0.5, 1.0, -1.0)
+    path = tmp_path / "canonical.txt"
+    sg.write_libsvm(sg.Dataset(X, y), str(path))
+
+    def python_cast(*args):
+        raise AssertionError("a canonical field was cast by Python")
+
+    monkeypatch.setattr(dataio, "_cast_with_python", python_cast)
+    data = sg.read_libsvm(str(path), n_features=12)
+    assert data.X.tobytes() == X.tobytes()
+    assert data.y.tobytes() == y.tobytes()
 
 
 def test_read_gathers_a_wide_token_in_bounded_memory(tmp_path):

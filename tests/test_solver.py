@@ -486,6 +486,17 @@ def test_iteration_budget_returns_best_iterate():
     assert np.all(np.isfinite(fit.beta_hat))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_whose_every_nll_overflows_names_the_first_overflowing_row():
+    # the residual square of row 3 alone overflows, at every iterate
+    X = make_rng(71).standard_normal((6, 3))
+    y = np.array([0.5, -1.0, 0.25, 1e160, 2.0, -0.5])
+    with pytest.raises(sg.NumericOverflowError) as err:
+        sg.gsdar_fit(sg.GAUSSIAN, sg.Dataset(X, y), sg.SdarConfig(sparsity_t=1))
+    assert err.value.row == 3
+    assert str(err.value) == "negative log-likelihood overflowed at observation 3"
+
+
 def test_final_support_is_tau_invariant_on_strong_signals():
     for seed in range(5):
         data, _, _ = logistic_instance(seed, 150, 30, 4)
