@@ -14,7 +14,10 @@ import io
 import itertools
 import math
 import sys
+from dataclasses import replace
 from functools import partial
+
+import numpy as np
 
 from .dataio import (
     MODE_LENGTH,
@@ -70,6 +73,17 @@ def parse_sweep(text: str, cast=float) -> list:
         ) from None
 
 
+def _checked(cast, ok, rule: str):
+    """An argparse type: cast(text), rejected unless ok(value)."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -118,7 +132,7 @@ def _add_solver_flags(sub):
 
 def _add_replication_flags(sub):
     sub.add_argument("--tau", type=float, default=1.0)
-    sub.add_argument("--reps", type=int, default=100)
+    sub.add_argument("--reps", type=_checked(int, lambda r: r >= 1, "be >= 1"), default=100)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -233,6 +247,10 @@ def _run_cells(columns, metrics, grid, prefix, configure, reps, output, train_fr
 
 def _cmd_simulate(args) -> int:
     agsdar = args.solver == "agsdar"
+    # the solver flags are the same in every cell, so a bad one is an error here, once
+    inner = SdarConfig(sparsity_t=1, step_size_tau=args.tau)
+    path_cfg = (AgsdarConfig(increment_theta=args.theta, max_support_q=args.Q, inner=inner)
+                if agsdar else None)
 
     def prefix(n, p, k, rho, ratio, t):
         return [args.scheme, n, p, k, rho, ratio, args.solver, None if agsdar else t,
@@ -241,13 +259,7 @@ def _cmd_simulate(args) -> int:
 
     def configure(n, p, k, rho, ratio, t):
         sim = SimConfig(n=n, p=p, k=k, rho=rho, range_ratio=ratio, scheme=args.scheme, seed=args.seed)
-        if agsdar:
-            return sim, AgsdarConfig(
-                increment_theta=args.theta,
-                max_support_q=args.Q,
-                inner=SdarConfig(sparsity_t=1, step_size_tau=args.tau),
-            )
-        return sim, SdarConfig(sparsity_t=t, step_size_tau=args.tau)
+        return sim, path_cfg if agsdar else replace(inner, sparsity_t=t)
 
     cells = (
         (n, p, k, rho, ratio, k if args.T is None else args.T)
@@ -261,13 +273,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench_iters(args) -> int:
+    inner = SdarConfig(sparsity_t=1, step_size_tau=args.tau)  # checked once, not per cell
+
     def prefix(rho, k):
         return [SCHEME_AR1, args.n, args.p, k, rho, args.R, args.reps, args.seed]
 
     def configure(rho, k):
         sim = SimConfig(n=args.n, p=args.p, k=k, rho=rho, range_ratio=args.R,
                         scheme=SCHEME_AR1, seed=args.seed)
-        return sim, SdarConfig(sparsity_t=k, step_size_tau=args.tau)
+        return sim, replace(inner, sparsity_t=k)
 
     return _run_cells(
         ["scheme", "n", "p", "K", "rho", "R", "reps", "seed"], ["iters_avg"],
@@ -357,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--T", type=int, default=None, help="sparsity level (default: K)")
     sim.add_argument("--theta", type=int, default=1)
     sim.add_argument("--Q", type=int, default=None)
-    sim.add_argument("--split", type=float, default=None,
-                     help="train fraction; accuracy scores the held-out rest")
+    sim.add_argument("--split", type=_checked(float, lambda f: 0.0 < f <= 1.0, "lie in (0, 1]"),
+                     default=None, help="train fraction; accuracy scores the held-out rest")
     _add_replication_flags(sim)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -395,7 +409,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # each overflow is detected and reported
+            return args.func(args)
     except (UsageError, ValueError, OSError) as exc:  # LIBSVM and label errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,9 +10,10 @@ log-likelihood of a coefficient vector beta on data (X, y) is
 which is convex in beta because c is convex.  Two families are provided:
 logistic (Bernoulli, d = 0) and Gaussian with unit dispersion
 (d(y) = -y^2/2, which makes L equal to ||y - X beta||^2 / (2n)).  L is
-computed from theta in one place, `GlmFamily.nll`, in a form that keeps
-L >= 0 exact in floating point; so is its gradient, in `gradient_at_theta`,
-and its Hessian on a set of columns, in `weighted_gram`.
+computed from theta in one place, the mean `GlmFamily.nll` of each family's
+per-observation `nll_terms`, in a form that keeps every term >= 0 exact in
+floating point; so is its gradient, in `gradient_at_theta`, and its Hessian
+on a set of columns, in `weighted_gram`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class NumericOverflowError(ArithmeticError):
 
 
 class GlmFamily:
-    """Exponential family with log-density y*theta - c(theta) + d(y)."""
+    """Exponential family with log-density y*theta - c(theta) + d(y), whose
+    NLL each family states once, per observation, in nll_terms."""
 
     name: str = ""
 
@@ -49,10 +51,14 @@ class GlmFamily:
         """c''(theta), the conditional variance of y."""
         raise NotImplementedError
 
-    def nll(self, y: np.ndarray, theta: np.ndarray) -> float:
-        """-(1/n) sum_i [y_i theta_i - c(theta_i) + d(y_i)], the mean negative
-        log-likelihood at the linear predictors theta."""
+    def nll_terms(self, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """-(y_i theta_i - c(theta_i) + d(y_i)) for each observation i, each >= 0."""
         raise NotImplementedError
+
+    def nll(self, y: np.ndarray, theta: np.ndarray) -> float:
+        """The mean of nll_terms: L at the linear predictors theta, +inf on overflow."""
+        # sum / n: the bits of np.mean, without its wrapper
+        return float(self.nll_terms(y, theta).sum() / theta.size)
 
     def check_response(self, y: np.ndarray) -> None:
         """Raise ValueError when y is not a valid response for this family."""
@@ -82,9 +88,8 @@ class Logistic(GlmFamily):
         mu = expit(np.asarray(theta, dtype=float))
         return mu * (1.0 - mu)
 
-    def nll(self, y, theta):
-        # sum / n: the bits of np.mean, without its wrapper
-        return float((self.cumulant(theta) - y * theta).sum() / theta.size)
+    def nll_terms(self, y, theta):
+        return self.cumulant(theta) - y * theta
 
     def check_response(self, y):
         y = np.asarray(y)
@@ -111,10 +116,10 @@ class Gaussian(GlmFamily):
     def variance(self, theta):
         return np.ones_like(np.asarray(theta, dtype=float))
 
-    def nll(self, y, theta):
+    def nll_terms(self, y, theta):
         # the residual form: y theta - theta^2/2 - y^2/2 rounds below 0 on exact fits
         r = y - theta
-        return float(0.5 * np.mean(r * r))
+        return 0.5 * r * r
 
 
 LOGISTIC = Logistic()

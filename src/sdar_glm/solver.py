@@ -60,7 +60,8 @@ __all__ = [
 
 
 class SingularSystemError(RuntimeError):
-    """The restricted Newton system stayed singular after a jitter retry."""
+    """The restricted Newton system could not be formed with finite entries,
+    or stayed singular after a jitter retry."""
 
     def __init__(self, active):
         self.active = np.asarray(active, dtype=int)
@@ -205,7 +206,8 @@ def restricted_mle(
     Each Newton system is solved by a direct Cholesky factorization (see
     the module docstring), which warns when its reciprocal condition number
     is below machine epsilon; a singular one gets one ridge_jitter retry
-    before raising SingularSystemError.  The linear predictor of the
+    before raising SingularSystemError, and one whose Hessian or gradient
+    overflowed raises it at once.  The linear predictor of the
     accepted line-search candidate is the next Newton step's, so every
     value evaluation costs one product with the active columns.
     """
@@ -234,7 +236,10 @@ def restricted_mle(
         if np.abs(g).max() <= cfg.newton_grad_tol:
             return b
         H = weighted_gram(Xa, family.variance(theta), data.n)
-        step = _solve_newton_system(H, g, cfg, active)
+        try:
+            step = _solve_newton_system(H, g, cfg, active)
+        except ValueError:  # H or g overflowed
+            raise SingularSystemError(active) from None
         slope = float(g @ step)
         if slope >= 0.0:
             break  # numerically flat: no descent direction left
@@ -309,24 +314,6 @@ def _certificate(beta: np.ndarray, d: np.ndarray, t: int) -> float:
     return float(np.max(np.abs(beta - h)))
 
 
-def _nll_overflow_row(family: GlmFamily, data: Dataset, beta: np.ndarray, intercept: float) -> int:
-    """The observation i at which the NLL at (beta, intercept) stops being
-    finite: that of rows 0..i-1 is finite, that of rows 0..i is not.
-
-    With a non-finite term, this is the first such observation.  A
-    bisection over the row prefixes, which needs the whole NLL non-finite.
-    """
-    theta = linear_predictor(data, beta, intercept)
-    lo, hi = 0, data.n  # the first lo rows give a finite NLL, the first hi do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if np.isfinite(family.nll(data.y[:mid], theta[:mid])):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def kkt_residual(family: GlmFamily, data: Dataset, fit: FitResult, t: int) -> float:
     """Stationarity certificate for a fit on `data` (0 means exact fixed point).
 
@@ -351,7 +338,8 @@ def gsdar_fit(
     Termination is unconditional: SUPPORT_STATIONARY when the detected
     support repeats consecutively, CYCLE_DETECTED when an earlier support
     recurs non-consecutively (the visited iterate with smallest NLL is
-    returned), MAX_ITERS otherwise (best iterate returned).
+    returned), MAX_ITERS otherwise (best iterate returned).  An iterate whose
+    NLL overflows raises NumericOverflowError, so every returned NLL is finite.
 
     This loop is the map's only implementation.  Its screen ranks
     beta + tau * dual with the dual zeroed on the active set, in that
@@ -402,14 +390,16 @@ def gsdar_fit(
         beta, intercept, dual = _solve_on(family, data, support, beta[support], intercept, cfg)
         active = support
         nll = negative_log_likelihood(family, data, beta, intercept)
+        if not np.isfinite(nll):
+            # terms >= 0: the running sum is finite up to the row where it overflows,
+            # the last row when only the pairwise sum in nll overflows
+            terms = family.nll_terms(data.y, linear_predictor(data, beta, intercept))
+            row = min(np.count_nonzero(np.isfinite(np.cumsum(terms))), data.n - 1)
+            raise NumericOverflowError(row, "negative log-likelihood")
         visited.add(key)
         if nll < chosen_nll:
             chosen, chosen_nll = (beta, intercept, active, dual), nll
 
-    if chosen is None:  # the NLL of every iterate overflowed; none is better than another
-        raise NumericOverflowError(
-            _nll_overflow_row(family, data, beta, intercept), "negative log-likelihood"
-        )
     beta, intercept, active, dual = chosen
     return FitResult(
         beta_hat=beta,

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,27 @@ def test_usage_problems_exit_one(argv, capsys):
     assert err.startswith("error:")
 
 
+SIM = ["simulate", "--scheme", "ar1", "--n", "20", "--p", "10", "--K", "2", "--reps", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (SIM + ["--tau", "0"], "error: step_size_tau must lie in (0, 1], got 0.0"),
+        (SIM + ["--split", "0"], "error: argument --split: must lie in (0, 1], got 0.0"),
+        (SIM + ["--solver", "agsdar", "--theta", "0"], "error: increment_theta must be >= 1, got 0"),
+        (["bench-iters", "--n", "20", "--p", "10", "--K", "1:1:2", "--reps", "0"],
+         "error: argument --reps: must be >= 1, got 0"),
+    ],
+    ids=["tau", "split", "theta", "reps"],
+)
+def test_a_bad_flag_shared_by_every_cell_exits_one(argv, message, capsys):
+    # checked once before the first cell, not reported as a failed row per cell
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [message]
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(
         ["fit", "--family", "logistic", "--data", "/no/such/file.txt", "--T", "1"], capsys
@@ -274,7 +296,17 @@ def overflowing_gaussian_file(tmp_path):
     return str(path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def huge_design_file(tmp_path):
+    # finite entries up to 3e160: every restricted Hessian overflows
+    path = tmp_path / "huge_x.txt"
+    path.write_text(
+        "1 1:3e160 2:1.0\n0 1:-1e160 2:0.5\n1 1:2e160 2:-1.0\n"
+        "0 1:1.0 2:3e160\n1 1:-2e160 2:0.25\n",
+        encoding="ascii",
+    )
+    return str(path)
+
+
 def test_a_fit_whose_every_nll_overflows_exits_two(tmp_path, capsys):
     argv = ["fit", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path), "--T", "1"]
     code, out, err = run_cli(argv, capsys)
@@ -282,7 +314,6 @@ def test_a_fit_whose_every_nll_overflows_exits_two(tmp_path, capsys):
     assert err == "solver error: negative log-likelihood overflowed at observation 0\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_path_level_whose_every_nll_overflows_is_a_failed_row(tmp_path, capsys):
     argv = ["path", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path)]
     code, out, _ = run_cli(argv, capsys)
@@ -290,6 +321,65 @@ def test_a_path_level_whose_every_nll_overflows_is_a_failed_row(tmp_path, capsys
     _, rows = csv_rows(out)
     assert rows[1] == ["1", "", "", "", "", "", "0",
                        "negative log-likelihood overflowed at observation 0"]
+
+
+def test_a_stationary_fit_whose_nll_overflows_exits_two(tmp_path, capsys):
+    # T = p = 2: the one iterate, which the next screen would find stationary, overflows
+    argv = ["fit", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path), "--T", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "solver error: negative log-likelihood overflowed at observation 0\n"
+
+
+def test_a_stationary_path_level_whose_nll_overflows_is_a_failed_row(tmp_path, capsys):
+    argv = ["path", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert rows[2] == ["2", "", "", "", "", "", "0",
+                       "negative log-likelihood overflowed at observation 0"]
+
+
+def test_a_fit_whose_hessian_overflows_exits_two(tmp_path, capsys):
+    argv = ["fit", "--family", "logistic", "--data", huge_design_file(tmp_path), "--T", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "solver error: restricted Hessian solve failed on active set [0]\n"
+
+
+def test_path_levels_whose_hessian_overflows_are_failed_rows(tmp_path, capsys):
+    argv = ["path", "--family", "logistic", "--data", huge_design_file(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[1:] == [
+        ["1", "", "", "", "", "", "0", "restricted Hessian solve failed on active set [0]"],
+        ["2", "", "", "", "", "", "0", "restricted Hessian solve failed on active set [0, 1]"],
+    ]
+    assert rows[0][6] == "1"  # the null model is selected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--family", "gaussian", "--data", "F", "--T", "1"],
+        ["fit", "--family", "gaussian", "--data", "F", "--T", "2"],
+        ["path", "--family", "gaussian", "--data", "F"],
+        ["fit", "--family", "logistic", "--data", "G", "--T", "1"],
+        ["path", "--family", "logistic", "--data", "G"],
+    ],
+    ids=["fit-F-1", "fit-F-2", "path-F", "fit-G", "path-G"],
+)
+def test_overflows_reach_no_numpy_warning(tmp_path, capsys, argv):
+    files = {"F": overflowing_gaussian_file(tmp_path), "G": huge_design_file(tmp_path)}
+    argv = [files.get(arg, arg) for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 2)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # --- path --------------------------------------------------------------------
@@ -621,7 +711,6 @@ def draw_argv(draw, tmp_path):
             "--K", draw(st.sampled_from(["1", "1:1:2", "0", "4"])), *replication]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_no_argv_escapes_as_a_traceback(tmp_path, capsys, data):

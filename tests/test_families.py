@@ -161,6 +161,21 @@ def test_nll_stays_finite_at_saturating_predictors():
     assert math.isfinite(value) and value >= 0.0
 
 
+@pytest.mark.parametrize("family", [sg.LOGISTIC, sg.GAUSSIAN], ids=["logistic", "gaussian"])
+@pytest.mark.parametrize("seed", range(5))
+def test_nll_is_the_mean_of_nonnegative_terms(family, seed):
+    # predictors from 1e-3 to 1e3 in magnitude, saturating ones, and exact Gaussian fits
+    rng = make_rng(seed, 0)
+    theta = rng.standard_normal(60) * 10.0 ** rng.uniform(-3, 3, 60)
+    theta[:4] = [-800.0, -700.0, 700.0, 800.0]
+    y = (rng.standard_normal(60) > 0).astype(float) if family is sg.LOGISTIC else theta.copy()
+    if family is sg.GAUSSIAN:
+        y[::2] += rng.standard_normal(30)
+    terms = family.nll_terms(y, theta)
+    assert terms.shape == (60,) and np.all(terms >= 0.0)
+    assert family.nll(y, theta) == float(terms.sum() / 60)
+
+
 # --- gradient and Hessian against finite differences ------------------------
 
 @pytest.mark.parametrize("family_name, build", [

@@ -497,6 +497,65 @@ def test_fit_whose_every_nll_overflows_names_the_first_overflowing_row():
     assert str(err.value) == "negative log-likelihood overflowed at observation 3"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stationary_fit_whose_nll_overflows_names_the_first_overflowing_row():
+    # T = p = 2: the one iterate, which the next screen would find stationary, overflows
+    X = np.array([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0], [2.0, 1.0], [-0.5, 0.75]])
+    y = np.array([1e160, -1e160, 1e160, -1e160, 1e160])
+    with pytest.raises(sg.NumericOverflowError) as err:
+        sg.gsdar_fit(sg.GAUSSIAN, sg.Dataset(X, y), sg.SdarConfig(sparsity_t=2))
+    assert err.value.row == 0
+    assert str(err.value) == "negative log-likelihood overflowed at observation 0"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family", [sg.LOGISTIC, sg.GAUSSIAN], ids=["logistic", "gaussian"])
+@pytest.mark.parametrize("with_intercept", [False, True], ids=["plain", "intercept"])
+def test_fit_whose_hessian_overflows_raises_singular_system_error(family, with_intercept):
+    # every restricted Hessian X_S^T W X_S / n overflows; the gradient stays finite
+    rng = make_rng(73, 0)
+    X = 1e160 * rng.standard_normal((8, 4))
+    y = (rng.standard_normal(8) > 0).astype(float)
+    cfg = sg.SdarConfig(sparsity_t=1, with_intercept=with_intercept)
+    with pytest.raises(sg.SingularSystemError) as err:
+        sg.gsdar_fit(family, sg.Dataset(X, y), cfg)
+    active = err.value.active.tolist()
+    assert len(active) == 1 + with_intercept
+    assert (active[-1] == 4) == with_intercept  # the intercept is named as column p
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from([sg.LOGISTIC, sg.GAUSSIAN]),
+    scale_y=st.booleans(),
+    exponent=st.integers(0, 200),
+    t=st.integers(1, 3),
+    with_intercept=st.booleans(),
+)
+def test_a_fit_on_scaled_data_fails_or_is_finite(seed, family, scale_y, exponent, t,
+                                                 with_intercept):
+    # X (or a Gaussian y) scaled by 10^exponent: the fit raises one of the
+    # solver's errors, or returns a finite NLL and certificate
+    rng = make_rng(seed, 0)
+    X = rng.standard_normal((10, 5))
+    y = rng.standard_normal(10)
+    if family is sg.LOGISTIC:
+        y, scale_y = (y > 0).astype(float), False
+    if scale_y:
+        y *= 10.0**exponent
+    else:
+        X *= 10.0**exponent
+    cfg = sg.SdarConfig(sparsity_t=t, with_intercept=with_intercept)
+    try:
+        fit = sg.gsdar_fit(family, sg.Dataset(X, y), cfg)
+    except (sg.SingularSystemError, sg.NumericOverflowError):
+        return
+    assert np.isfinite(fit.nll) and np.isfinite(fit.kkt_residual)
+
+
 def test_final_support_is_tau_invariant_on_strong_signals():
     for seed in range(5):
         data, _, _ = logistic_instance(seed, 150, 30, 4)
