@@ -247,8 +247,9 @@ def _run_cells(columns, metrics, grid, prefix, configure, reps, output, train_fr
 
 def _cmd_simulate(args) -> int:
     agsdar = args.solver == "agsdar"
-    # the solver flags are the same in every cell, so a bad one is an error here, once
-    inner = SdarConfig(sparsity_t=1, step_size_tau=args.tau)
+    # the flags shared by every cell (--T only under gsdar) are checked here, once
+    t = 1 if agsdar or args.T is None else args.T
+    inner = SdarConfig(sparsity_t=t, step_size_tau=args.tau)
     path_cfg = (AgsdarConfig(increment_theta=args.theta, max_support_q=args.Q, inner=inner)
                 if agsdar else None)
 
@@ -273,15 +274,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench_iters(args) -> int:
-    inner = SdarConfig(sparsity_t=1, step_size_tau=args.tau)  # checked once, not per cell
+    # the flags shared by every cell are checked once, not per cell
+    inner = SdarConfig(sparsity_t=1, step_size_tau=args.tau)
+    base = SimConfig(n=args.n, p=args.p, k=0, rho=0.0, range_ratio=args.R,
+                     scheme=SCHEME_AR1, seed=args.seed)
 
     def prefix(rho, k):
         return [SCHEME_AR1, args.n, args.p, k, rho, args.R, args.reps, args.seed]
 
     def configure(rho, k):
-        sim = SimConfig(n=args.n, p=args.p, k=k, rho=rho, range_ratio=args.R,
-                        scheme=SCHEME_AR1, seed=args.seed)
-        return sim, replace(inner, sparsity_t=k)
+        return replace(base, k=k, rho=rho), replace(inner, sparsity_t=k)
 
     return _run_cells(
         ["scheme", "n", "p", "K", "rho", "R", "reps", "seed"], ["iters_avg"],

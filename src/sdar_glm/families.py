@@ -14,6 +14,12 @@ computed from theta in one place, the mean `GlmFamily.nll` of each family's
 per-observation `nll_terms`, in a form that keeps every term >= 0 exact in
 floating point; so is its gradient, in `gradient_at_theta`, and its Hessian
 on a set of columns, in `weighted_gram`.
+
+Each value is checked by the function that computes it, which raises
+NumericOverflowError naming the row where it overflows: theta in
+`linear_predictor` (or `require_finite`), L in `negative_log_likelihood`,
+grad L in `gradient`.  `GlmFamily.nll` returns +inf, which a line search
+rejects.
 """
 
 from __future__ import annotations
@@ -208,11 +214,23 @@ def linear_predictor(data: Dataset, beta: np.ndarray, intercept: float = 0.0) ->
     return require_finite(theta)
 
 
+def _overflow_row(terms: np.ndarray) -> int:
+    """The first row whose running sum of terms is not finite (it stays so
+    once it is), or the last row when only numpy's pairwise sum is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return min(np.count_nonzero(np.isfinite(np.cumsum(terms))), terms.size - 1)
+
+
 def negative_log_likelihood(
     family: GlmFamily, data: Dataset, beta: np.ndarray, intercept: float = 0.0
 ) -> float:
-    """L(beta) = -(1/n) sum_i [y_i theta_i - c(theta_i) + d(y_i)]."""
-    return family.nll(data.y, linear_predictor(data, beta, intercept))
+    """L(beta) = -(1/n) sum_i [y_i theta_i - c(theta_i) + d(y_i)], checked finite."""
+    theta = linear_predictor(data, beta, intercept)
+    nll = family.nll(data.y, theta)
+    if not np.isfinite(nll):
+        row = _overflow_row(family.nll_terms(data.y, theta))
+        raise NumericOverflowError(row, "negative log-likelihood")
+    return nll
 
 
 def gradient(
@@ -220,9 +238,18 @@ def gradient(
 ) -> np.ndarray:
     """grad L(beta) = (1/n) X^T (c'(X beta + intercept) - y), with respect to beta.
 
-    The product with X^T is the one pass over all of X.
+    The product with X^T is the one pass over all of X.  A coordinate j that
+    is not finite raises NumericOverflowError at the row where the running
+    sum of x_ij (c'(theta_i) - y_i) overflows, for the first such j.
     """
-    return gradient_at_theta(family, data.X, data.y, linear_predictor(data, beta, intercept))
+    theta = linear_predictor(data, beta, intercept)
+    g = gradient_at_theta(family, data.X, data.y, theta)
+    if not np.isfinite(g).all():
+        j = int(np.flatnonzero(~np.isfinite(g))[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = data.X[:, j] * (family.mean(theta) - data.y)
+        raise NumericOverflowError(_overflow_row(terms), f"gradient at coordinate {j}")
+    return g
 
 
 def gradient_at_theta(

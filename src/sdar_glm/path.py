@@ -118,7 +118,8 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
     """Fit the sparsity path and select the HBIC minimizer.
 
     A level whose solve fails is recorded in `failures` and skipped; the
-    next level warm-starts from the last success.  Unless cfg.full_path,
+    next level warm-starts from the last success.  A null model whose NLL
+    overflows fails the whole path with NumericOverflowError.  Unless cfg.full_path,
     the sweep ends before the first level T whose penalty alone is at
     least the smallest HBIC so far, and T and the levels after it up to
     the cap are listed in `skipped`.

@@ -24,6 +24,10 @@ calls scipy.linalg.solve(assume_a="pos") makes, with the same triangle,
 so the steps are the same bits, without its per-call validation and
 batching overhead.  Each line-search candidate's linear predictor is kept
 and reused by the Newton step taken from it.
+
+The solver checks no value itself: the families functions raise
+NumericOverflowError for a linear predictor, NLL or dual that overflows, and
+_solve_newton_system raises SingularSystemError for a system it cannot solve.
 """
 
 from __future__ import annotations
@@ -38,10 +42,8 @@ from scipy import linalg as sla
 from .families import (
     Dataset,
     GlmFamily,
-    NumericOverflowError,
     gradient,
     gradient_at_theta,
-    linear_predictor,
     negative_log_likelihood,
     require_finite,
     weighted_gram,
@@ -177,15 +179,13 @@ def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_newton_system(H, g, cfg, active):
-    """Solve H step = -g, retrying once with a ridge on failure."""
+    """Solve H step = -g with one ridge retry; every failure is SingularSystemError."""
     try:
-        return _cholesky_solve(H, -g)
-    except np.linalg.LinAlgError:
-        pass
-    H_jittered = H + cfg.ridge_jitter * np.eye(H.shape[0])
-    try:
-        return _cholesky_solve(H_jittered, -g)
-    except np.linalg.LinAlgError:
+        try:
+            return _cholesky_solve(H, -g)
+        except np.linalg.LinAlgError:
+            return _cholesky_solve(H + cfg.ridge_jitter * np.eye(H.shape[0]), -g)
+    except ValueError:  # LinAlgError is a ValueError
         raise SingularSystemError(active) from None
 
 
@@ -236,10 +236,7 @@ def restricted_mle(
         if np.abs(g).max() <= cfg.newton_grad_tol:
             return b
         H = weighted_gram(Xa, family.variance(theta), data.n)
-        try:
-            step = _solve_newton_system(H, g, cfg, active)
-        except ValueError:  # H or g overflowed
-            raise SingularSystemError(active) from None
+        step = _solve_newton_system(H, g, cfg, active)
         slope = float(g @ step)
         if slope >= 0.0:
             break  # numerically flat: no descent direction left
@@ -339,7 +336,7 @@ def gsdar_fit(
     support repeats consecutively, CYCLE_DETECTED when an earlier support
     recurs non-consecutively (the visited iterate with smallest NLL is
     returned), MAX_ITERS otherwise (best iterate returned).  An iterate whose
-    NLL overflows raises NumericOverflowError, so every returned NLL is finite.
+    NLL or dual overflows raises NumericOverflowError, so both are finite.
 
     This loop is the map's only implementation.  Its screen ranks
     beta + tau * dual with the dual zeroed on the active set, in that
@@ -390,12 +387,6 @@ def gsdar_fit(
         beta, intercept, dual = _solve_on(family, data, support, beta[support], intercept, cfg)
         active = support
         nll = negative_log_likelihood(family, data, beta, intercept)
-        if not np.isfinite(nll):
-            # terms >= 0: the running sum is finite up to the row where it overflows,
-            # the last row when only the pairwise sum in nll overflows
-            terms = family.nll_terms(data.y, linear_predictor(data, beta, intercept))
-            row = min(np.count_nonzero(np.isfinite(np.cumsum(terms))), data.n - 1)
-            raise NumericOverflowError(row, "negative log-likelihood")
         visited.add(key)
         if nll < chosen_nll:
             chosen, chosen_nll = (beta, intercept, active, dual), nll

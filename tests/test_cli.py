@@ -237,8 +237,15 @@ SIM = ["simulate", "--scheme", "ar1", "--n", "20", "--p", "10", "--K", "2", "--r
         (SIM + ["--solver", "agsdar", "--theta", "0"], "error: increment_theta must be >= 1, got 0"),
         (["bench-iters", "--n", "20", "--p", "10", "--K", "1:1:2", "--reps", "0"],
          "error: argument --reps: must be >= 1, got 0"),
+        (SIM + ["--T", "0"], "error: sparsity_t must be >= 1, got 0"),
+        (["bench-iters", "--n", "20", "--p", "10", "--K", "1:1:2", "--reps", "1", "--R", "0.5"],
+         "error: range_ratio must exceed 1"),
+        (["bench-iters", "--n", "0", "--p", "10", "--K", "1:1:2", "--reps", "1"],
+         "error: n and p must be positive"),
+        (["bench-iters", "--n", "20", "--p", "0", "--K", "1:1:2", "--reps", "1"],
+         "error: n and p must be positive"),
     ],
-    ids=["tau", "split", "theta", "reps"],
+    ids=["tau", "split", "theta", "reps", "T", "R", "n", "p"],
 )
 def test_a_bad_flag_shared_by_every_cell_exits_one(argv, message, capsys):
     # checked once before the first cell, not reported as a failed row per cell
@@ -314,15 +321,6 @@ def test_a_fit_whose_every_nll_overflows_exits_two(tmp_path, capsys):
     assert err == "solver error: negative log-likelihood overflowed at observation 0\n"
 
 
-def test_a_path_level_whose_every_nll_overflows_is_a_failed_row(tmp_path, capsys):
-    argv = ["path", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path)]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
-    _, rows = csv_rows(out)
-    assert rows[1] == ["1", "", "", "", "", "", "0",
-                       "negative log-likelihood overflowed at observation 0"]
-
-
 def test_a_stationary_fit_whose_nll_overflows_exits_two(tmp_path, capsys):
     # T = p = 2: the one iterate, which the next screen would find stationary, overflows
     argv = ["fit", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path), "--T", "2"]
@@ -331,14 +329,12 @@ def test_a_stationary_fit_whose_nll_overflows_exits_two(tmp_path, capsys):
     assert err == "solver error: negative log-likelihood overflowed at observation 0\n"
 
 
-def test_a_stationary_path_level_whose_nll_overflows_is_a_failed_row(tmp_path, capsys):
+def test_a_path_whose_null_model_nll_overflows_exits_two(tmp_path, capsys):
+    # the T = 0 level has NLL +inf, so no level can be compared with it
     argv = ["path", "--family", "gaussian", "--data", overflowing_gaussian_file(tmp_path)]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
-    _, rows = csv_rows(out)
-    assert [row[0] for row in rows] == ["0", "1", "2"]
-    assert rows[2] == ["2", "", "", "", "", "", "0",
-                       "negative log-likelihood overflowed at observation 0"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "solver error: negative log-likelihood overflowed at observation 0\n"
 
 
 def test_a_fit_whose_hessian_overflows_exits_two(tmp_path, capsys):
@@ -346,6 +342,29 @@ def test_a_fit_whose_hessian_overflows_exits_two(tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err == "solver error: restricted Hessian solve failed on active set [0]\n"
+
+
+def overflowing_gradient_file(tmp_path):
+    # column 2 holds entries near +-6e307: its gradient terms overflow to
+    # +inf and -inf, so their sum is NaN at every iterate
+    path = tmp_path / "huge_column.txt"
+    path.write_text(
+        "-30 1:-0.65 2:5.8e+307 3:1.66 4:0.66\n112 1:-1.64 2:5.7e+307 3:-0.62 4:0.15\n"
+        "128 1:-1.61 2:-6e+307 3:0.24 4:1.58\n-106 1:0.32 2:-6.1e+307 3:-1.49 4:2.25\n"
+        "-91 1:-1.92 2:-6.4e+307 3:-0.33 4:-0.88\n-120 1:-0.66 2:6.1e+307 3:0.38 4:-0.11\n"
+        "-88 1:1.48 2:-5.8e+307 4:-0.89\n",
+        encoding="ascii",
+    )
+    return str(path)
+
+
+def test_a_fit_whose_gradient_overflows_exits_two(tmp_path, capsys):
+    # an unchecked NaN coordinate is never screened, and the fit on the
+    # other columns would be certified stationary
+    argv = ["fit", "--family", "gaussian", "--data", overflowing_gradient_file(tmp_path), "--T", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "solver error: gradient at coordinate 1 overflowed at observation 0\n"
 
 
 def test_path_levels_whose_hessian_overflows_are_failed_rows(tmp_path, capsys):

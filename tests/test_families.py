@@ -124,6 +124,48 @@ def test_linear_predictor_overflow_names_first_bad_row():
     assert err.value.row == 1
 
 
+class FixedTerms(sg.GlmFamily):
+    """A family whose per-observation NLL terms are fixed."""
+
+    def __init__(self, terms):
+        self.terms = np.array(terms)
+
+    def nll_terms(self, y, theta):
+        return self.terms
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nll_overflow_names_the_first_row_whose_running_sum_overflows():
+    data = sg.Dataset(np.zeros((4, 1)), np.zeros(4))
+    family = FixedTerms([1.0, 1e308, 1e308, 1.0])
+    with pytest.raises(sg.NumericOverflowError) as err:
+        sg.negative_log_likelihood(family, data, np.zeros(1))
+    assert str(err.value) == "negative log-likelihood overflowed at observation 2"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nll_overflow_of_the_sum_alone_names_the_last_row():
+    # every running sum is finite, but numpy's pairwise sum rounds up to +inf
+    terms = [np.finfo(float).max] + [9e291] * 8
+    assert np.all(np.isfinite(np.cumsum(terms))) and np.sum(terms) == np.inf
+    data = sg.Dataset(np.zeros((9, 1)), np.zeros(9))
+    with pytest.raises(sg.NumericOverflowError) as err:
+        sg.negative_log_likelihood(FixedTerms(terms), data, np.zeros(1))
+    assert err.value.row == 8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradient_overflow_names_the_first_coordinate_and_its_row():
+    # at beta = 0 the Gaussian residual is -y = -2: coordinate 1 overflows at
+    # row 1 (-2e308), coordinate 2 already at row 0
+    X = np.array([[1.0, 1.0, 1e308], [2.0, 1e308, 1e308], [0.5, -1e308, 1.0]])
+    data = sg.Dataset(X, np.full(3, 2.0))
+    with pytest.raises(sg.NumericOverflowError) as err:
+        sg.gradient(sg.GAUSSIAN, data, np.zeros(3))
+    assert err.value.row == 1
+    assert str(err.value) == "gradient at coordinate 1 overflowed at observation 1"
+
+
 def test_logistic_nll_matches_probability_form():
     # independent algebra: -mean(y log p + (1-y) log(1-p)) with p = sigmoid
     data = sg.Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))

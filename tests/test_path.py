@@ -110,6 +110,17 @@ def test_null_point_is_analytic():
     assert null.fit.nll == pytest.approx(math.log(2.0), abs=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_null_model_whose_nll_overflows_fails_the_path():
+    # every residual square of the null model overflows
+    X = np.array([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0], [2.0, 1.0], [-0.5, 0.75]])
+    y = np.array([1e160, -1e160, 1e160, -1e160, 1e160])
+    with pytest.raises(sg.NumericOverflowError) as err:
+        sg.agsdar_fit(sg.GAUSSIAN, sg.Dataset(X, y), sg.AgsdarConfig())
+    assert err.value.row == 0
+    assert str(err.value) == "negative log-likelihood overflowed at observation 0"
+
+
 def test_zero_response_gaussian_selects_the_null_model():
     rng = make_rng(47)
     data = sg.Dataset(rng.standard_normal((30, 6)), np.zeros(30))

@@ -267,11 +267,11 @@ def test_cholesky_solve_edge_cases_match_scipy(H, rhs):
     assert solve_outcome(_cholesky_solve, H, rhs) == solve_outcome(newton_solve_reference, H, rhs)
 
 
-def test_non_finite_newton_system_raises_value_error():
+def test_non_finite_newton_system_raises_singular_system_error():
     cfg = sg.SdarConfig(sparsity_t=1)
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(sg.SingularSystemError, match=r"active set \[0, 1\]"):
         _solve_newton_system(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2), cfg, [0, 1])
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(sg.SingularSystemError, match=r"active set \[0, 1\]"):
         _solve_newton_system(np.eye(2), np.array([np.inf, 0.0]), cfg, [0, 1])
 
 
@@ -532,13 +532,16 @@ def test_fit_whose_hessian_overflows_raises_singular_system_error(family, with_i
     family=st.sampled_from([sg.LOGISTIC, sg.GAUSSIAN]),
     scale_y=st.booleans(),
     exponent=st.integers(0, 200),
+    column=st.sampled_from([None, 0, 1, 2, 3, 4]),
+    column_exponent=st.floats(300.0, 307.5),
     t=st.integers(1, 3),
     with_intercept=st.booleans(),
 )
-def test_a_fit_on_scaled_data_fails_or_is_finite(seed, family, scale_y, exponent, t,
-                                                 with_intercept):
-    # X (or a Gaussian y) scaled by 10^exponent: the fit raises one of the
-    # solver's errors, or returns a finite NLL and certificate
+def test_a_fit_on_scaled_data_fails_or_is_finite(seed, family, scale_y, exponent, column,
+                                                 column_exponent, t, with_intercept):
+    # X (or a Gaussian y) scaled by 10^exponent, or one column of X by
+    # 10^column_exponent with or without y: the fit raises one of the
+    # solver's errors, or returns a finite NLL, certificate and dual
     rng = make_rng(seed, 0)
     X = rng.standard_normal((10, 5))
     y = rng.standard_normal(10)
@@ -546,14 +549,17 @@ def test_a_fit_on_scaled_data_fails_or_is_finite(seed, family, scale_y, exponent
         y, scale_y = (y > 0).astype(float), False
     if scale_y:
         y *= 10.0**exponent
-    else:
+    elif column is None:
         X *= 10.0**exponent
+    if column is not None:
+        X[:, column] *= 10.0**column_exponent
     cfg = sg.SdarConfig(sparsity_t=t, with_intercept=with_intercept)
     try:
         fit = sg.gsdar_fit(family, sg.Dataset(X, y), cfg)
     except (sg.SingularSystemError, sg.NumericOverflowError):
         return
     assert np.isfinite(fit.nll) and np.isfinite(fit.kkt_residual)
+    assert np.all(np.isfinite(fit.dual))
 
 
 def test_final_support_is_tau_invariant_on_strong_signals():
