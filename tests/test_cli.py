@@ -337,6 +337,55 @@ def test_a_path_whose_null_model_nll_overflows_exits_two(tmp_path, capsys):
     assert err == "solver error: negative log-likelihood overflowed at observation 0\n"
 
 
+def small_gaussian_file(tmp_path):
+    # the design of overflowing_gaussian_file with moderate responses
+    path = tmp_path / "small_y.txt"
+    path.write_text(
+        "1 1:1.0 2:0.5\n-1 1:-1.0 2:0.25\n1 1:0.5 2:-1.0\n-1 1:2.0 2:1.0\n1 1:-0.5 2:0.75\n",
+        encoding="ascii",
+    )
+    return str(path)
+
+
+def overflow_iterate_nll(monkeypatch, overflows):
+    # the null model's NLL is computed in sdar_glm.path, so only the levels'
+    # iterates, whose NLL gsdar_fit computes, overflow where `overflows(beta)`
+    nll = sg.negative_log_likelihood
+
+    def checked(family, data, beta, intercept=0.0):
+        if overflows(beta):
+            raise sg.NumericOverflowError(0, "negative log-likelihood")
+        return nll(family, data, beta, intercept)
+
+    monkeypatch.setattr("sdar_glm.solver.negative_log_likelihood", checked)
+
+
+def test_a_path_level_whose_every_nll_overflows_is_a_failed_row(tmp_path, capsys, monkeypatch):
+    overflow_iterate_nll(monkeypatch, lambda beta: True)
+    argv = ["path", "--family", "gaussian", "--data", small_gaussian_file(tmp_path), "--full-path"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[1:] == [
+        ["1", "", "", "", "", "", "0", "negative log-likelihood overflowed at observation 0"],
+        ["2", "", "", "", "", "", "0", "negative log-likelihood overflowed at observation 0"],
+    ]
+    assert rows[0][6] == "1"  # the null model is selected
+
+
+def test_a_stationary_path_level_whose_nll_overflows_is_a_failed_row(tmp_path, capsys, monkeypatch):
+    # T = p = 2: the one iterate, which the next screen would find stationary, overflows
+    overflow_iterate_nll(monkeypatch, lambda beta: np.count_nonzero(beta) == beta.size)
+    argv = ["path", "--family", "gaussian", "--data", small_gaussian_file(tmp_path), "--full-path"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert rows[1][7] == ""
+    assert rows[2] == ["2", "", "", "", "", "", "0",
+                       "negative log-likelihood overflowed at observation 0"]
+
+
 def test_a_fit_whose_hessian_overflows_exits_two(tmp_path, capsys):
     argv = ["fit", "--family", "logistic", "--data", huge_design_file(tmp_path), "--T", "1"]
     code, out, err = run_cli(argv, capsys)
