@@ -247,8 +247,12 @@ def _run_cells(columns, metrics, grid, prefix, configure, reps, output, train_fr
 
 def _cmd_simulate(args) -> int:
     agsdar = args.solver == "agsdar"
-    # the flags shared by every cell (--T only under gsdar) are checked here, once
-    t = 1 if agsdar or args.T is None else args.T
+    # the flags shared by every cell are checked here, once; --T belongs to
+    # gsdar and --Q to agsdar (--theta has a default, and is ignored by gsdar)
+    for flag, value, owner in (("--T", args.T, "gsdar"), ("--Q", args.Q, "agsdar")):
+        if value is not None and args.solver != owner:
+            raise UsageError(f"{flag} applies only to --solver {owner}")
+    t = 1 if args.T is None else args.T
     inner = SdarConfig(sparsity_t=t, step_size_tau=args.tau)
     path_cfg = (AgsdarConfig(increment_theta=args.theta, max_support_q=args.Q, inner=inner)
                 if agsdar else None)

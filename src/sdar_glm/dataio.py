@@ -30,12 +30,24 @@ file as a whole (no data lines, n_features below the largest index, a dense
 X too large to allocate) carry line number 0.  Because every value is
 checked as it is parsed, the returned Dataset does not scan X again, and the
 CLI does not rescan it unless it was standardized.
+
+Files are read on every usable CPU: the bytes are cut just after line feeds
+into at most one piece per CPU and per _PIECE_FLOOR (1 MiB) bytes, each a
+view of the file's one bytes object.  The pieces are parsed on a thread
+each, and each then fills its own rows of X, offset by the rows of the
+pieces before it; the numpy passes of both stages release the GIL.  A
+piece starts a line and holds whole lines, comments included, so X, y and
+the error of a malformed file do not depend on the number of pieces.  A
+file of one piece is read on the calling thread and starts none.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 from typing import NoReturn
 
 import numpy as np
@@ -85,31 +97,75 @@ def read_libsvm(path: str, n_features: int | None = None) -> Dataset:
     verbatim; map_labels_to_binary converts them for logistic fits.
     """
     with open(path, "rb") as fh:
-        parsed = _parse_bytes(fh.read())
-    if parsed is None:
-        _raise_first_bad_line(path)
-    y, rows, idx, val = parsed
-    if not y.size:
-        raise LibsvmParseError(0, "file contains no data lines")
-    max_idx = int(idx.max()) if idx.size else 0
-    p = max_idx if n_features is None else int(n_features)
-    if p < max_idx:
-        raise LibsvmParseError(0, f"n_features={p} is below the largest observed index {max_idx}")
-    if p < 1:
-        raise LibsvmParseError(0, "no features found")
-    try:
-        X = np.zeros((y.size, p))
-    except (MemoryError, ValueError):  # ValueError: the size overflows the address type
-        raise LibsvmParseError(
-            0, f"a dense {y.size} x {p} design needs {y.size * p * 8} bytes, more than can be allocated"
-        ) from None
-    X[rows, idx - 1] = val
+        raw = fh.read()
+    pieces = _cut(raw, min(_usable_cpus(), len(raw) // _PIECE_FLOOR))
+    with ThreadPoolExecutor(len(pieces)) as pool:
+        run = pool.map if len(pieces) > 1 else map  # one piece is read inline
+        parsed = list(run(_parse_bytes, pieces))
+        del raw, pieces  # the file's bytes are freed before X is allocated
+        if any(part is None for part in parsed):
+            _raise_first_bad_line(path)
+        ys, rows, idx, val = zip(*parsed)
+        y = np.concatenate(ys)
+        if not y.size:
+            raise LibsvmParseError(0, "file contains no data lines")
+        max_idx = max(int(i.max()) if i.size else 0 for i in idx)
+        p = max_idx if n_features is None else int(n_features)
+        if p < max_idx:
+            raise LibsvmParseError(0, f"n_features={p} is below the largest observed index {max_idx}")
+        if p < 1:
+            raise LibsvmParseError(0, "no features found")
+        try:
+            X = np.zeros((y.size, p))
+        except (MemoryError, ValueError):  # ValueError: the size overflows the address type
+            raise LibsvmParseError(
+                0, f"a dense {y.size} x {p} design needs {y.size * p * 8} bytes, more than can be allocated"
+            ) from None
+        # each piece fills its own rows, which start after the previous pieces'
+        first_rows = accumulate((part.size for part in ys[:-1]), initial=0)
+        list(run(_scatter, [X[start:] for start in first_rows], rows, idx, val))
     return Dataset(X, y, _x_checked=True)  # every value was checked finite above
 
 
-def _parse_bytes(raw: bytes) -> tuple[np.ndarray, ...] | None:
+# the fewest bytes a piece read on its own thread holds
+_PIECE_FLOOR = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cut(raw: bytes, count: int) -> list[memoryview]:
+    """raw cut into at most `count` pieces of about equal size, as views.
+
+    Each cut falls just after the first line feed at or past its share of
+    raw, so every piece starts a line and \r\n is never split; a file whose
+    lines all end in \r is one piece.  Comments end at their line's end, so
+    no piece starts inside one.
+    """
+    cuts = [0]
+    for k in range(1, count):
+        at = raw.find(b"\n", max(cuts[-1], len(raw) * k // count)) + 1
+        if not 0 < at < len(raw):
+            break
+        cuts.append(at)
+    cuts.append(len(raw))
+    view = memoryview(raw)
+    return [view[start:stop] for start, stop in zip(cuts, cuts[1:])]
+
+
+def _scatter(X: np.ndarray, rows: np.ndarray, idx: np.ndarray, val: np.ndarray) -> None:
+    """Write each feature value into its row and column of X."""
+    X[rows, idx - 1] = val
+
+
+def _parse_bytes(raw: bytes | memoryview) -> tuple[np.ndarray, ...] | None:
     """Labels, and the row, index and value of every feature token, read from
-    the file's bytes; None when any line is malformed.
+    the bytes of whole lines; None when any line is malformed.  Rows count
+    from the first line of raw.
 
     The byte arrays die with this frame, before read_libsvm allocates X.
     """
@@ -139,15 +195,18 @@ def _parse_bytes(raw: bytes) -> tuple[np.ndarray, ...] | None:
     return y, rows, idx, val
 
 
-def _tokenize(raw: bytes) -> tuple[np.ndarray, ...] | None:
-    """The file's bytes without comments, the start and stop of every
+def _tokenize(raw: bytes | memoryview) -> tuple[np.ndarray, ...] | None:
+    """The bytes without comments, the start and stop of every
     token, and which tokens are labels; None when a byte makes the file
     malformed or not ASCII.
     """
-    if np.any(np.frombuffer(raw, np.uint8) > 127):
-        return None  # the text read raises the UnicodeDecodeError
-    raw = re.sub(rb"#[^\r\n]*", b"", raw)  # each comment runs to its line's end
     buf = np.frombuffer(raw, np.uint8)
+    if np.any(buf > 127):
+        return None  # the text read raises the UnicodeDecodeError
+    # each comment runs from its # to its line's end; re.sub copies a
+    # memoryview even when nothing matches, so it runs only on a piece with a #
+    if np.any(buf == 35):
+        buf = np.frombuffer(re.sub(rb"#[^\r\n]*", b"", raw), np.uint8)
     # tokens are the runs of bytes above 32
     gaps = np.flatnonzero(buf <= 32)
     code = buf[gaps]

@@ -16,10 +16,10 @@ floating point; so is its gradient, in `gradient_at_theta`, and its Hessian
 on a set of columns, in `weighted_gram`.
 
 Each value is checked by the function that computes it, which raises
-NumericOverflowError naming the row where it overflows: theta in
-`linear_predictor` (or `require_finite`), L in `negative_log_likelihood`,
-grad L in `gradient`.  `GlmFamily.nll` returns +inf, which a line search
-rejects.
+NumericOverflowError naming the row where it overflows, under np.errstate so
+that no numpy warning comes first: theta in `linear_predictor` (or
+`require_finite`), L in `negative_log_likelihood`, grad L in `gradient`.
+`GlmFamily.nll` returns +inf, which a line search rejects.
 """
 
 from __future__ import annotations
@@ -217,8 +217,7 @@ def linear_predictor(data: Dataset, beta: np.ndarray, intercept: float = 0.0) ->
 def _overflow_row(terms: np.ndarray) -> int:
     """The first row whose running sum of terms is not finite (it stays so
     once it is), or the last row when only numpy's pairwise sum is not."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return min(np.count_nonzero(np.isfinite(np.cumsum(terms))), terms.size - 1)
+    return min(np.count_nonzero(np.isfinite(np.cumsum(terms))), terms.size - 1)
 
 
 def negative_log_likelihood(
@@ -226,10 +225,11 @@ def negative_log_likelihood(
 ) -> float:
     """L(beta) = -(1/n) sum_i [y_i theta_i - c(theta_i) + d(y_i)], checked finite."""
     theta = linear_predictor(data, beta, intercept)
-    nll = family.nll(data.y, theta)
-    if not np.isfinite(nll):
-        row = _overflow_row(family.nll_terms(data.y, theta))
-        raise NumericOverflowError(row, "negative log-likelihood")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        nll = family.nll(data.y, theta)
+        if not np.isfinite(nll):
+            row = _overflow_row(family.nll_terms(data.y, theta))
+            raise NumericOverflowError(row, "negative log-likelihood")
     return nll
 
 
@@ -243,12 +243,12 @@ def gradient(
     sum of x_ij (c'(theta_i) - y_i) overflows, for the first such j.
     """
     theta = linear_predictor(data, beta, intercept)
-    g = gradient_at_theta(family, data.X, data.y, theta)
-    if not np.isfinite(g).all():
-        j = int(np.flatnonzero(~np.isfinite(g))[0])
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        g = gradient_at_theta(family, data.X, data.y, theta)
+        if not np.isfinite(g).all():
+            j = int(np.flatnonzero(~np.isfinite(g))[0])
             terms = data.X[:, j] * (family.mean(theta) - data.y)
-        raise NumericOverflowError(_overflow_row(terms), f"gradient at coordinate {j}")
+            raise NumericOverflowError(_overflow_row(terms), f"gradient at coordinate {j}")
     return g
 
 

@@ -201,7 +201,8 @@ def restricted_mle(
     Damped Newton with Armijo backtracking (halving, sufficient-decrease
     1e-4).  Returns as soon as the restricted gradient satisfies
     ||g||_inf <= newton_grad_tol, otherwise the best iterate found within
-    newton_max_iters.  For the logistic family every iterate is clipped to
+    newton_max_iters, or as soon as a line-search candidate has the bits of
+    the current iterate (the step has rounded away, at the cap or in b).  For the logistic family every iterate is clipped to
     [-coef_cap, coef_cap] componentwise, which keeps separable data finite.
     Each Newton system is solved by a direct Cholesky factorization (see
     the module docstring), which warns when its reciprocal condition number
@@ -245,6 +246,10 @@ def restricted_mle(
             cand = b + t * step
             if cap is not None:
                 _clip(cand, cap)
+            if cand.tobytes() == b.tobytes():
+                # the step rounded away, and so would every shorter one: a
+                # Newton step from b would only repeat this line search
+                return best_b
             theta_c = require_finite(Xa @ cand)
             fc = family.nll(y, theta_c)
             if fc <= fb + 1e-4 * t * slope:

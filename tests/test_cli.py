@@ -254,6 +254,29 @@ def test_a_bad_flag_shared_by_every_cell_exits_one(argv, message, capsys):
     assert err.splitlines() == [message]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (SIM + ["--T", "0", "--solver", "agsdar"], "error: --T applies only to --solver gsdar"),
+        (SIM + ["--T", "2", "--solver", "agsdar"], "error: --T applies only to --solver gsdar"),
+        (SIM + ["--Q", "5", "--solver", "gsdar"], "error: --Q applies only to --solver agsdar"),
+        (SIM + ["--Q", "5"], "error: --Q applies only to --solver agsdar"),
+    ],
+    ids=["T0-agsdar", "T-agsdar", "Q-gsdar", "Q-default-solver"],
+)
+def test_a_flag_of_the_other_solver_exits_one(argv, message, capsys):
+    # rejected once, before any cell, rather than silently dropped
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("solver", ["gsdar", "agsdar"])
+def test_theta_stays_accepted_under_either_solver(solver, capsys):
+    code, out, _ = run_cli(SIM + ["--theta", "1", "--solver", solver], capsys)
+    assert code == 0 and out.startswith("# sdar-glm v1")
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(
         ["fit", "--family", "logistic", "--data", "/no/such/file.txt", "--T", "1"], capsys

@@ -1,7 +1,10 @@
 """LIBSVM parsing and writing, label mapping, standardization, splitting."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -140,6 +143,15 @@ def libsvm_lines(draw):
     return line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
 
 
+def read_in_pieces(path, n_features=None, pieces=6):
+    """read_libsvm with the piece floor at one byte and `pieces` usable CPUs,
+    so that a file of that many lines or more is cut into `pieces` pieces."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_PIECE_FLOOR", 1)
+        mp.setattr(dataio, "_usable_cpus", lambda: pieces)
+        return sg.read_libsvm(path, n_features=n_features)
+
+
 def read_outcome(reader, path, n_features):
     """The parsed bytes, or the error's type, message and line number."""
     try:
@@ -158,9 +170,9 @@ def read_outcome(reader, path, n_features):
 def test_read_matches_the_per_token_reader(tmp_path, lines, tail, n_features):
     path = tmp_path / "fuzz.txt"
     path.write_bytes(("".join(lines) + tail).encode("latin-1"))
-    assert read_outcome(sg.read_libsvm, str(path), n_features) == read_outcome(
-        read_libsvm_per_token, str(path), n_features
-    )
+    expected = read_outcome(read_libsvm_per_token, str(path), n_features)
+    assert read_outcome(sg.read_libsvm, str(path), n_features) == expected
+    assert read_outcome(read_in_pieces, str(path), n_features) == expected
 
 
 EOLS = st.sampled_from(["\n", "\r\n", "\r"])
@@ -213,9 +225,110 @@ def odd_lines(draw):
 def test_read_matches_the_per_token_reader_on_odd_bytes(tmp_path, lines, n_features):
     path = tmp_path / "fuzz.txt"
     path.write_bytes("".join(lines).encode("ascii"))
-    assert read_outcome(sg.read_libsvm, str(path), n_features) == read_outcome(
-        read_libsvm_per_token, str(path), n_features
-    )
+    expected = read_outcome(read_libsvm_per_token, str(path), n_features)
+    assert read_outcome(sg.read_libsvm, str(path), n_features) == expected
+    assert read_outcome(read_in_pieces, str(path), n_features) == expected
+
+
+# --- reading in pieces -------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=40).map(lambda b: bytes(b"ab\r\n"[c % 4] for c in b)),
+       count=st.integers(0, 8))
+def test_cut_makes_views_that_end_after_a_line_feed(raw, count):
+    pieces = dataio._cut(raw, count)
+    assert 1 <= len(pieces) <= max(count, 1)
+    assert b"".join(pieces) == raw
+    assert all(piece.obj is raw for piece in pieces)  # views, not copies
+    # every cut follows a line feed, so a piece never starts with the \n of a \r\n
+    assert all(piece.tobytes().endswith(b"\n") for piece in pieces[:-1])
+    assert all(piece.nbytes for piece in pieces[1:])
+
+
+def test_cut_keeps_a_file_without_line_feeds_whole():
+    raw = b"1 1:2\r" * 50
+    assert [piece.tobytes() for piece in dataio._cut(raw, 8)] == [raw]
+
+
+def test_cut_shares_lines_out_about_evenly():
+    raw = b"".join(b"%d 1:2\r\n" % (i % 10) for i in range(1000))
+    sizes = [piece.nbytes for piece in dataio._cut(raw, 4)]
+    assert len(sizes) == 4
+    assert all(abs(size - len(raw) / 4) <= 7 for size in sizes)  # within one 7-byte line
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 1:1\r\n0 2:1\r\n# only a comment\r\n\r\n1 3:1 # note\r\n0 1:1\r\n1 2:5 4:1\n",
+        "1 1:1\n\n\n\n\n\n\n1 2:1\n",  # pieces of blank lines hold no rows
+        "1 1:1\n0 2:1\n1 3:1\n0 1:1\n1 2:1 2:3\n0 1:1\n",  # line 5 is in a late piece
+        "1 1:1\n0 2:1\n1 3:1\r0 1:1\n1 1:x\n0 1:1\n",
+        "1 1:1\n0 2:1\n1 3:1\n0 1:1\n1 1:1\n0 1:1 # \xe9\n",  # non-ASCII in the last piece
+        "# a\n# b\n\n# c\n\n",
+    ],
+    ids=["crlf-comments", "blank-pieces", "late-error", "cr-inside", "non-ascii", "no-data"],
+)
+@pytest.mark.parametrize("n_features", [None, 3, 6])
+def test_read_in_pieces_matches_a_one_piece_read(tmp_path, text, n_features):
+    path = tmp_path / "pieces.txt"
+    path.write_bytes(text.encode("latin-1"))
+    expected = read_outcome(sg.read_libsvm, str(path), n_features)
+    assert expected == read_outcome(read_libsvm_per_token, str(path), n_features)
+    for pieces in (2, 3, 5, 8):
+        assert read_outcome(partial(read_in_pieces, pieces=pieces), str(path), n_features) == expected
+
+
+def _counting_thread_starts(monkeypatch) -> list:
+    starts = []
+    start = threading.Thread.start
+
+    def counting(self):
+        starts.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+def test_read_in_pieces_leaves_no_thread_behind(tmp_path, monkeypatch):
+    X = np.round(make_rng(31).standard_normal((40, 6)), 2)
+    X[X == 0.0] = 0.0  # no -0.0, which write_libsvm leaves out
+    path = tmp_path / "rows.txt"
+    sg.write_libsvm(sg.Dataset(X, np.ones(40)), str(path))
+    starts = _counting_thread_starts(monkeypatch)
+    before = threading.active_count()
+    data = read_in_pieces(str(path), pieces=4)
+    assert threading.active_count() == before
+    assert 1 <= len(starts) <= 4  # at most one worker a piece (idle ones are reused), all joined
+    assert data.X.tobytes() == X.tobytes()
+
+
+def test_read_in_more_pieces_than_cores_under_fast_thread_switching(tmp_path):
+    # the pieces write disjoint rows of one X; a lost or misplaced row would
+    # show as a difference from the one-piece read
+    X = np.round(make_rng(37).standard_normal((3000, 40)), 3)
+    X[(make_rng(38).random(X.shape) < 0.7) | (X == 0.0)] = 0.0  # no -0.0
+    path = tmp_path / "many.txt"
+    sg.write_libsvm(sg.Dataset(X, np.arange(3000.0)), str(path))
+    expected = read_outcome(sg.read_libsvm, str(path), 40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = read_outcome(partial(read_in_pieces, pieces=16), str(path), 40)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert got[1] == X.tobytes()
+
+
+def test_read_below_the_piece_floor_starts_no_thread(tmp_path, monkeypatch):
+    path = tmp_path / "small.txt"
+    path.write_text("1 1:1\n0 2:1\n" * 100, encoding="ascii")
+    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
+    starts = _counting_thread_starts(monkeypatch)
+    assert sg.read_libsvm(str(path)).n == 200
+    assert starts == []
 
 
 @pytest.mark.parametrize(

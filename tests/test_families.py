@@ -134,7 +134,6 @@ class FixedTerms(sg.GlmFamily):
         return self.terms
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nll_overflow_names_the_first_row_whose_running_sum_overflows():
     data = sg.Dataset(np.zeros((4, 1)), np.zeros(4))
     family = FixedTerms([1.0, 1e308, 1e308, 1.0])
@@ -143,18 +142,17 @@ def test_nll_overflow_names_the_first_row_whose_running_sum_overflows():
     assert str(err.value) == "negative log-likelihood overflowed at observation 2"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nll_overflow_of_the_sum_alone_names_the_last_row():
     # every running sum is finite, but numpy's pairwise sum rounds up to +inf
     terms = [np.finfo(float).max] + [9e291] * 8
-    assert np.all(np.isfinite(np.cumsum(terms))) and np.sum(terms) == np.inf
+    with np.errstate(over="ignore"):  # the overflow this test is about
+        assert np.all(np.isfinite(np.cumsum(terms))) and np.sum(terms) == np.inf
     data = sg.Dataset(np.zeros((9, 1)), np.zeros(9))
     with pytest.raises(sg.NumericOverflowError) as err:
         sg.negative_log_likelihood(FixedTerms(terms), data, np.zeros(1))
     assert err.value.row == 8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradient_overflow_names_the_first_coordinate_and_its_row():
     # at beta = 0 the Gaussian residual is -y = -2: coordinate 1 overflows at
     # row 1 (-2e308), coordinate 2 already at row 0
@@ -164,6 +162,15 @@ def test_gradient_overflow_names_the_first_coordinate_and_its_row():
         sg.gradient(sg.GAUSSIAN, data, np.zeros(3))
     assert err.value.row == 1
     assert str(err.value) == "gradient at coordinate 1 overflowed at observation 1"
+
+
+@pytest.mark.parametrize("compute", [sg.negative_log_likelihood, sg.gradient], ids=["nll", "gradient"])
+def test_overflow_raises_without_a_numpy_warning(compute):
+    # residual squares and X^T r overflow; the only report is the error
+    # (the suite turns every RuntimeWarning into a failure)
+    data = sg.Dataset(np.eye(7, 4) * 1e160, np.arange(7.0) * 1e200)
+    with pytest.raises(sg.NumericOverflowError):
+        compute(sg.GAUSSIAN, data, np.ones(4))
 
 
 def test_logistic_nll_matches_probability_form():

@@ -11,7 +11,7 @@ import pytest
 import sdar_glm as sg
 from sdar_glm import families, path, solver
 
-from helpers import gaussian_instance, logistic_instance
+from helpers import best_subset_exhaustive, gaussian_instance, logistic_instance
 from test_golden import C6_REP, C6_SIM, CASES as GOLDEN_CASES, PATH_BYTE_CASES, PATH_CASE
 
 CASES = [
@@ -221,3 +221,16 @@ def _run_counted(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORK))
 def test_golden_fits_take_their_recorded_newton_steps_and_evaluations(name):
     assert _run_counted(name) == GOLDEN_WORK[name]
+
+
+def test_c2_instance_set_takes_its_recorded_newton_steps_and_evaluations():
+    # the fits and oracle solves of C2: a solve stops when its line-search
+    # candidate has the bits of its iterate, rather than repeating that
+    # rounded-away step until newton_max_iters (14 794 Newton steps and
+    # 176 161 evaluations before that stop)
+    counted, calls = _counting_family(sg.LOGISTIC)
+    for seed in range(50):
+        data, _, _ = logistic_instance(seed, 100, 10, 2)
+        sg.gsdar_fit(counted, data, sg.SdarConfig(sparsity_t=2))
+        best_subset_exhaustive(counted, data, 2)
+    assert (calls["variance"], calls["cumulant"]) == (9431, 21411)

@@ -110,7 +110,6 @@ def test_null_point_is_analytic():
     assert null.fit.nll == pytest.approx(math.log(2.0), abs=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_null_model_whose_nll_overflows_fails_the_path():
     # every residual square of the null model overflows
     X = np.array([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0], [2.0, 1.0], [-0.5, 0.75]])
