@@ -423,23 +423,27 @@ def standardize_columns(X: np.ndarray, mode: str = MODE_MEAN_VAR) -> np.ndarray:
     or scale to length sqrt(n).
 
     A constant column cannot be variance-standardized and raises ValueError
-    naming it; under the length mode a zero column is left alone.
+    naming it; under the length mode a zero column is left alone.  A column
+    whose scale (sd or norm) overflows raises ValueError naming it, since
+    dividing by that scale would zero the column.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("X must be 2-d with at least two rows")
-    if mode == MODE_MEAN_VAR:
-        sd = X.std(axis=0, ddof=1)
-        dead = np.flatnonzero(sd == 0.0)
-        if dead.size:
-            raise ValueError(f"column {int(dead[0])} is constant and cannot be standardized")
-        return (X - X.mean(axis=0)) / sd
+    if mode not in (MODE_MEAN_VAR, MODE_LENGTH):
+        raise ValueError(f"unknown mode {mode!r}; use {MODE_MEAN_VAR!r} or {MODE_LENGTH!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing scale raises below
+        scale = X.std(axis=0, ddof=1) if mode == MODE_MEAN_VAR else np.linalg.norm(X, axis=0)
+    bad = np.flatnonzero(~np.isfinite(scale))
+    if bad.size:
+        raise ValueError(f"column {int(bad[0])} overflows its scale and cannot be standardized")
     if mode == MODE_LENGTH:
-        norms = np.linalg.norm(X, axis=0)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        scale = np.where(norms > 0.0, np.sqrt(X.shape[0]) / safe, 1.0)
-        return X * scale
-    raise ValueError(f"unknown mode {mode!r}; use {MODE_MEAN_VAR!r} or {MODE_LENGTH!r}")
+        safe = np.where(scale > 0.0, scale, 1.0)
+        return X * np.where(scale > 0.0, np.sqrt(X.shape[0]) / safe, 1.0)
+    dead = np.flatnonzero(scale == 0.0)
+    if dead.size:
+        raise ValueError(f"column {int(dead[0])} is constant and cannot be standardized")
+    return (X - X.mean(axis=0)) / scale
 
 
 def pad_features(data: Dataset, p: int) -> Dataset:

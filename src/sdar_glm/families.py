@@ -19,7 +19,11 @@ Each value is checked by the function that computes it, which raises
 NumericOverflowError naming the row where it overflows, under np.errstate so
 that no numpy warning comes first: theta in `linear_predictor` (or
 `require_finite`), L in `negative_log_likelihood`, grad L in `gradient`.
-`GlmFamily.nll` returns +inf, which a line search rejects.
+`GlmFamily.nll` returns +inf, which a line search rejects.  For the same
+reason `solver.restricted_mle` runs under np.errstate, where each overflow
+raises NumericOverflowError or SingularSystemError or is an NLL of +inf, and
+so does `dataio.standardize_columns`, which raises ValueError for a column
+scale that overflows.
 """
 
 from __future__ import annotations

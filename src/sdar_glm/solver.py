@@ -18,12 +18,11 @@ so the dual the fit returns and certifies is the unmasked gradient.
 
 The restricted Newton systems are small (|support| plus the intercept
 columns) and are solved by calling LAPACK's Cholesky routines directly:
-?potrf factors, ?pocon estimates the reciprocal condition number and
-warns (LinAlgWarning) below machine epsilon, ?potrs solves.  These are the
-calls scipy.linalg.solve(assume_a="pos") makes, with the same triangle,
-so the steps are the same bits, without its per-call validation and
-batching overhead.  Each line-search candidate's linear predictor is kept
-and reused by the Newton step taken from it.
+?potrf factors and ?potrs solves.  These are the calls
+scipy.linalg.solve(assume_a="pos") makes, with the same triangle, so the
+steps are the same bits, without its per-call validation, condition
+estimate and batching overhead.  Each line-search candidate's linear
+predictor is kept and reused by the Newton step taken from it.
 
 The solver checks no value itself: the families functions raise
 NumericOverflowError for a linear predictor, NLL or dual that overflows, and
@@ -33,7 +32,6 @@ _solve_newton_system raises SingularSystemError for a system it cannot solve.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,45 +146,29 @@ def top_t_support(v: np.ndarray, t: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-_potrf, _potrs, _pocon, _lange = sla.get_lapack_funcs(
-    ("potrf", "potrs", "pocon", "lange"), dtype=np.float64
-)
-_EPS = np.finfo(np.float64).eps
-
-
-def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with H x = rhs for a symmetric H, bit for bit as
-    scipy.linalg.solve(H, rhs, assume_a="pos") computes it.
-
-    Non-finite input raises ValueError, a factorization that fails raises
-    LinAlgError, and a reciprocal condition number below machine epsilon
-    warns with LinAlgWarning.  A 1 x 1 system is a division, as in scipy.
-    """
-    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if H.shape == (1, 1):
-        if H[0, 0] == 0.0:
-            raise np.linalg.LinAlgError("A singular matrix detected.")
-        return rhs / H[0, 0]
-    c, info = _potrf(H, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
-    rcond, _ = _pocon(c, _lange("1", H.T))  # H.T: the same norm, read without a copy
-    if rcond < _EPS:
-        warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond}.", sla.LinAlgWarning,
-                      stacklevel=2)
-    return _potrs(c, rhs)[0]
+_potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _solve_newton_system(H, g, cfg, active):
-    """Solve H step = -g with one ridge retry; every failure is SingularSystemError."""
-    try:
-        try:
-            return _cholesky_solve(H, -g)
-        except np.linalg.LinAlgError:
-            return _cholesky_solve(H + cfg.ridge_jitter * np.eye(H.shape[0]), -g)
-    except ValueError:  # LinAlgError is a ValueError
-        raise SingularSystemError(active) from None
+    """The Newton step x with H x = -g, bit for bit as
+    scipy.linalg.solve(H, -g, assume_a="pos") computes it, for H or, when
+    ?potrf rejects H, for H + ridge_jitter * I.  A 1 x 1 system is a
+    division, as in scipy.  A non-finite H or g, or a system rejected twice,
+    raises SingularSystemError.
+    """
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        raise SingularSystemError(active)
+    A = H
+    for _ in range(2):
+        if A.shape == (1, 1):
+            if A[0, 0] != 0.0:
+                return -g / A[0, 0]
+        else:
+            c, info = _potrf(A, clean=0)
+            if info == 0:
+                return _potrs(c, -g)[0]
+        A = H + cfg.ridge_jitter * np.eye(H.shape[0])
+    raise SingularSystemError(active)
 
 
 def restricted_mle(
@@ -202,15 +184,18 @@ def restricted_mle(
     1e-4).  Returns as soon as the restricted gradient satisfies
     ||g||_inf <= newton_grad_tol, otherwise the best iterate found within
     newton_max_iters, or as soon as a line-search candidate has the bits of
-    the current iterate (the step has rounded away, at the cap or in b).  For the logistic family every iterate is clipped to
-    [-coef_cap, coef_cap] componentwise, which keeps separable data finite.
-    Each Newton system is solved by a direct Cholesky factorization (see
-    the module docstring), which warns when its reciprocal condition number
-    is below machine epsilon; a singular one gets one ridge_jitter retry
-    before raising SingularSystemError, and one whose Hessian or gradient
-    overflowed raises it at once.  The linear predictor of the
-    accepted line-search candidate is the next Newton step's, so every
-    value evaluation costs one product with the active columns.
+    the current iterate (the step has rounded away, at the cap or in b).
+    For the logistic family every iterate is clipped to [-coef_cap, coef_cap]
+    componentwise, which keeps separable data finite.  Each Newton system is
+    solved by a direct Cholesky factorization (see the module docstring); a
+    singular one gets one ridge_jitter retry before raising
+    SingularSystemError, and one whose Hessian or gradient overflowed raises
+    it at once.  An overflowing linear predictor raises NumericOverflowError
+    and an overflowing NLL is +inf, which the line search rejects, so the
+    solve runs under np.errstate and warns of none of them.  The linear
+    predictor of the accepted line-search candidate is the next Newton
+    step's, so every value evaluation costs one product with the active
+    columns.
     """
     active = np.asarray(active, dtype=int)
     if active.size == 0:
@@ -228,39 +213,40 @@ def restricted_mle(
         raise ValueError(f"init must have shape ({active.size},), got {b.shape}")
     if cap is not None:
         _clip(b, cap)
-    theta = require_finite(Xa @ b)
-    fb = family.nll(y, theta)
-    best_b, best_f = b, fb  # iterates are never written after they are made
+    with np.errstate(over="ignore", invalid="ignore"):  # each overflow is handled below
+        theta = require_finite(Xa @ b)
+        fb = family.nll(y, theta)
+        best_b, best_f = b, fb  # iterates are never written after they are made
 
-    for _ in range(cfg.newton_max_iters):
-        g = gradient_at_theta(family, Xa, y, theta)
-        if np.abs(g).max() <= cfg.newton_grad_tol:
-            return b
-        H = weighted_gram(Xa, family.variance(theta), data.n)
-        step = _solve_newton_system(H, g, cfg, active)
-        slope = float(g @ step)
-        if slope >= 0.0:
-            break  # numerically flat: no descent direction left
-        t = 1.0
-        while t >= 2.0**-40:
-            cand = b + t * step
-            if cap is not None:
-                _clip(cand, cap)
-            if cand.tobytes() == b.tobytes():
-                # the step rounded away, and so would every shorter one: a
-                # Newton step from b would only repeat this line search
-                return best_b
-            theta_c = require_finite(Xa @ cand)
-            fc = family.nll(y, theta_c)
-            if fc <= fb + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            break  # the cap or rounding blocked all progress
-        b, fb, theta = cand, fc, theta_c
-        if fb < best_f:
-            best_f, best_b = fb, b
-    return best_b
+        for _ in range(cfg.newton_max_iters):
+            g = gradient_at_theta(family, Xa, y, theta)
+            if np.abs(g).max() <= cfg.newton_grad_tol:
+                return b
+            H = weighted_gram(Xa, family.variance(theta), data.n)
+            step = _solve_newton_system(H, g, cfg, active)
+            slope = float(g @ step)
+            if slope >= 0.0:
+                break  # numerically flat: no descent direction left
+            t = 1.0
+            while t >= 2.0**-40:
+                cand = b + t * step
+                if cap is not None:
+                    _clip(cand, cap)
+                if cand.tobytes() == b.tobytes():
+                    # the step rounded away, and so would every shorter one: a
+                    # Newton step from b would only repeat this line search
+                    return best_b
+                theta_c = require_finite(Xa @ cand)
+                fc = family.nll(y, theta_c)
+                if fc <= fb + 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            else:
+                break  # the cap or rounding blocked all progress
+            b, fb, theta = cand, fc, theta_c
+            if fb < best_f:
+                best_f, best_b = fb, b
+        return best_b
 
 
 def _clip(b: np.ndarray, cap: float) -> None:

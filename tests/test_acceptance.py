@@ -313,7 +313,6 @@ def test_c08_extra_datasets_run_end_to_end(stem, capsys):
 
 # -- C9: always-on property spot checks ----------------------------------------
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_c09_property_spot_checks(tmp_path):
     checks = []
 

@@ -534,6 +534,14 @@ def test_length_mode_leaves_zero_columns_alone():
     assert np.linalg.norm(out[:, 1]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("mode", [sg.MODE_MEAN_VAR, sg.MODE_LENGTH])
+def test_standardize_names_the_first_column_whose_scale_overflows(mode):
+    # squares near 1e320 overflow: dividing by an infinite scale would zero the column
+    X = np.array([[1.0, 3e160, 2e160], [2.0, -1e160, 1.0], [4.0, 2e160, -3e160]])
+    with pytest.raises(ValueError, match="column 1 overflows its scale"):
+        sg.standardize_columns(X, mode=mode)
+
+
 def test_standardize_validates_shape_and_mode():
     with pytest.raises(ValueError, match="at least two rows"):
         sg.standardize_columns(np.array([[1.0, 2.0]]))

@@ -297,7 +297,6 @@ def test_early_stop_selects_what_the_full_path_selects(name, intercept, theta, w
         _assert_early_stop_is_exact(family, data, cfg)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_early_stop_is_exact_past_a_failed_level():
     # integer columns 2 and 3 are identical, so every cold-started level that
     # ranks both into its support has an exactly singular Hessian

@@ -12,7 +12,7 @@ from scipy.special import expit
 import sdar_glm as sg
 from sdar_glm.families import gradient, negative_log_likelihood, weighted_gram
 from sdar_glm.rng import make_rng
-from sdar_glm.solver import _cholesky_solve, _solve_newton_system, restricted_mle
+from sdar_glm.solver import _solve_newton_system, restricted_mle
 
 from helpers import (
     count_finite_scans,
@@ -171,17 +171,25 @@ def test_singular_intercept_solve_names_the_intercept_as_column_p():
 
 # --- the Newton-system solve against scipy.linalg.solve(assume_a="pos") -----
 
-def solve_outcome(solve, H, rhs):
-    """(solution bytes or None, exception type or None, whether a
-    LinAlgWarning was emitted) of solve(H, rhs)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def scipy_outcome(H, rhs):
+    """The bytes of scipy.linalg.solve(H, rhs, assume_a="pos"), or None
+    where it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)  # its condition estimate
         try:
-            x, error = solve(H, rhs).tobytes(), None
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            x, error = None, type(exc)
-    warned = any(issubclass(w.category, sla.LinAlgWarning) for w in caught)
-    return x, error, warned
+            return newton_solve_reference(H, rhs).tobytes()
+        except ValueError:  # np.linalg.LinAlgError is a ValueError
+            return None
+
+
+def newton_step_outcome(H, rhs, ridge_jitter=0.0):
+    """The bytes of the solver's x with H x = rhs, or None where it raises
+    SingularSystemError."""
+    cfg = sg.SdarConfig(sparsity_t=1, ridge_jitter=ridge_jitter)
+    try:
+        return _solve_newton_system(H, -rhs, cfg, np.arange(H.shape[0])).tobytes()
+    except sg.SingularSystemError:
+        return None
 
 
 def _system(kind, k, seed):
@@ -215,40 +223,47 @@ KINDS = ["gram", "rank-deficient", "ill", "indefinite"]
 @settings(deadline=None, max_examples=400)
 @given(kind=st.sampled_from(KINDS), k=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
 def test_cholesky_solve_matches_scipy_bit_for_bit(kind, k, seed):
+    # without the jitter retry: scipy's bits where it solves, and
+    # SingularSystemError where it raises
     H, rhs = _system(kind, k, seed)
-    want = solve_outcome(newton_solve_reference, H, rhs)
-    assert solve_outcome(_cholesky_solve, H, rhs) == want
-    # the same systems end in SingularSystemError when no jitter is allowed
-    cfg = sg.SdarConfig(sparsity_t=1, ridge_jitter=0.0)
-    if want[1] is np.linalg.LinAlgError:
-        with pytest.raises(sg.SingularSystemError):
-            _solve_newton_system(H, -rhs, cfg, np.arange(k))
-    else:
-        got = solve_outcome(lambda H, g: _solve_newton_system(H, g, cfg, np.arange(k)), H, -rhs)
-        assert got == want
+    assert newton_step_outcome(H, rhs) == scipy_outcome(H, rhs)
 
 
 @pytest.mark.parametrize(
     "kind, k, seed, outcome",
     [
         ("gram", 8, 1, "solved"),
-        ("ill", 4, 3, "warned"),
+        ("ill", 4, 3, "solved"),  # scipy warns of its condition estimate here
         ("ill", 2, 1, "singular"),
         ("rank-deficient", 2, 1, "singular"),
         ("indefinite", 2, 1, "singular"),
-        ("indefinite", 3, 2, "warned"),  # the tiny negative eigenvalue rounds away
+        ("indefinite", 3, 2, "solved"),  # the tiny negative eigenvalue rounds away
     ],
 )
 def test_cholesky_solve_covers_every_outcome(kind, k, seed, outcome):
     # the property above is only as good as the systems it sees: each kind
     # of outcome occurs
     H, rhs = _system(kind, k, seed)
-    x, error, warned = solve_outcome(_cholesky_solve, H, rhs)
-    assert (x is not None, error is np.linalg.LinAlgError, warned) == {
-        "solved": (True, False, False),
-        "warned": (True, False, True),
-        "singular": (False, True, False),
-    }[outcome]
+    x = newton_step_outcome(H, rhs)
+    assert x == scipy_outcome(H, rhs)
+    assert (x is not None) == (outcome == "solved")
+
+
+@pytest.mark.parametrize(
+    "H, rhs",
+    [
+        _system("rank-deficient", 2, 1),
+        _system("rank-deficient", 6, 4),
+        (np.array([[0.0]]), np.array([2.0])),
+    ],
+    ids=["rank-deficient-2", "rank-deficient-6", "zero-1x1"],
+)
+def test_a_rejected_system_is_solved_with_the_ridge_jitter(H, rhs):
+    jitter = sg.SdarConfig(sparsity_t=1).ridge_jitter
+    assert newton_step_outcome(H, rhs) is None
+    want = scipy_outcome(H + jitter * np.eye(H.shape[0]), rhs)
+    assert want is not None
+    assert newton_step_outcome(H, rhs, jitter) == want
 
 
 @pytest.mark.parametrize(
@@ -264,7 +279,7 @@ def test_cholesky_solve_covers_every_outcome(kind, k, seed, outcome):
     ],
 )
 def test_cholesky_solve_edge_cases_match_scipy(H, rhs):
-    assert solve_outcome(_cholesky_solve, H, rhs) == solve_outcome(newton_solve_reference, H, rhs)
+    assert newton_step_outcome(H, rhs) == scipy_outcome(H, rhs)
 
 
 def test_non_finite_newton_system_raises_singular_system_error():
@@ -344,7 +359,6 @@ def test_iterates_satisfy_complementarity_exactly():
         assert np.abs(fit.dual[fit.support]).max() <= cfg.newton_grad_tol
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_duplicate_columns_still_yield_exactly_t_active():
     # three byte-identical columns force exact ties in the screening vector
     rng = make_rng(21, 0)
@@ -446,7 +460,6 @@ def reference_selection(family, data, cfg):
     return sg.Termination.MAX_ITERS, k, best
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -486,7 +499,6 @@ def test_iteration_budget_returns_best_iterate():
     assert np.all(np.isfinite(fit.beta_hat))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_whose_every_nll_overflows_names_the_first_overflowing_row():
     # the residual square of row 3 alone overflows, at every iterate
     X = make_rng(71).standard_normal((6, 3))
@@ -497,7 +509,6 @@ def test_fit_whose_every_nll_overflows_names_the_first_overflowing_row():
     assert str(err.value) == "negative log-likelihood overflowed at observation 3"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stationary_fit_whose_nll_overflows_names_the_first_overflowing_row():
     # T = p = 2: the one iterate, which the next screen would find stationary, overflows
     X = np.array([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0], [2.0, 1.0], [-0.5, 0.75]])
@@ -508,7 +519,6 @@ def test_stationary_fit_whose_nll_overflows_names_the_first_overflowing_row():
     assert str(err.value) == "negative log-likelihood overflowed at observation 0"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("family", [sg.LOGISTIC, sg.GAUSSIAN], ids=["logistic", "gaussian"])
 @pytest.mark.parametrize("with_intercept", [False, True], ids=["plain", "intercept"])
 def test_fit_whose_hessian_overflows_raises_singular_system_error(family, with_intercept):
@@ -524,8 +534,6 @@ def test_fit_whose_hessian_overflows_raises_singular_system_error(family, with_i
     assert (active[-1] == 4) == with_intercept  # the intercept is named as column p
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
