@@ -22,6 +22,7 @@ import numpy as np
 from .dataio import (
     MODE_LENGTH,
     MODE_MEAN_VAR,
+    UnscalableColumnError,
     map_labels_to_binary,
     pad_features,
     read_libsvm,
@@ -152,7 +153,10 @@ def _prepare(data, family, standardize) -> Dataset:
     rescaled X is scanned for finite values, since rescaling can overflow;
     data.X comes from a Dataset (read_libsvm's or pad_features')."""
     y = map_labels_to_binary(data.y) if family.name == "logistic" else data.y
-    X = standardize_columns(data.X, standardize) if standardize != "none" else data.X
+    try:
+        X = standardize_columns(data.X, standardize) if standardize != "none" else data.X
+    except UnscalableColumnError as exc:
+        raise UsageError(f"feature {exc.column + 1} {exc.reason} and cannot be standardized") from None
     return Dataset(X, y, _x_checked=X is data.X)
 
 
@@ -427,3 +431,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -22,9 +22,9 @@ so spellings such as `+2`, `1_0`, `nan` and `1e999` read, or fail, as they
 do in Python.  A byte above 127 anywhere, or
 a control byte outside a comment, makes the byte pass give up.  The
 positivity, ordering and finiteness checks run on whole arrays, and a single
-assignment fills X.  When any check fails, the file is read again as ASCII
-text and walked token by token, which raises the UnicodeDecodeError of a
-non-ASCII byte before any line is checked, or else the LibsvmParseError of
+assignment fills X.  When any check fails, the bytes read are decoded as
+ASCII text and walked token by token, which raises the UnicodeDecodeError of
+a non-ASCII byte before any line is checked, or else the LibsvmParseError of
 the first malformed line, carrying its 1-based line number.  Problems of the
 file as a whole (no data lines, n_features below the largest index, a dense
 X too large to allocate) carry line number 0.  Because every value is
@@ -79,6 +79,14 @@ class LibsvmParseError(ValueError):
         super().__init__(f"line {self.lineno}: {message}")
 
 
+class UnscalableColumnError(ValueError):
+    """A column standardize_columns cannot rescale: its 0-based index and why."""
+
+    def __init__(self, column: int, reason: str):
+        self.column, self.reason = int(column), reason
+        super().__init__(f"column {self.column} {reason} and cannot be standardized")
+
+
 class InvalidLabelError(ValueError):
     """Labels outside both {-1, +1} and {0, 1}; lists the offenders."""
 
@@ -102,9 +110,9 @@ def read_libsvm(path: str, n_features: int | None = None) -> Dataset:
     with ThreadPoolExecutor(len(pieces)) as pool:
         run = pool.map if len(pieces) > 1 else map  # one piece is read inline
         parsed = list(run(_parse_bytes, pieces))
-        del raw, pieces  # the file's bytes are freed before X is allocated
         if any(part is None for part in parsed):
-            _raise_first_bad_line(path)
+            _raise_first_bad_line(raw)
+        del raw, pieces  # the file's bytes are freed before X is allocated
         ys, rows, idx, val = zip(*parsed)
         y = np.concatenate(ys)
         if not y.size:
@@ -345,20 +353,19 @@ def _cast_with_python(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, 
     return fields.astype(dtype)
 
 
-def _raise_first_bad_line(path: str) -> NoReturn:
-    """Raise the LibsvmParseError of the first malformed line, token by token.
+def _raise_first_bad_line(raw: bytes) -> NoReturn:
+    """Raise the LibsvmParseError of raw's first malformed line, token by token.
 
     Runs only after the byte pass of read_libsvm has found a fault, which
     every check below reproduces; the one fault they accept is an index
     beyond the int64 range, reported last, at the line of the largest index.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        # not splitlines(): it would also break at \v, \f and \x1c-\x1e,
-        # which are whitespace inside a line
-        lines = fh.read().split("\n")
+    # lines end at \n, \r\n or \r, as a text-mode read splits them; not at
+    # splitlines()' \v, \f and \x1c-\x1e, which are whitespace inside a line
+    lines = raw.decode("ascii").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     max_idx, max_lineno = 0, 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, text in enumerate(lines, start=1):
+        line = text.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
@@ -422,10 +429,10 @@ def standardize_columns(X: np.ndarray, mode: str = MODE_MEAN_VAR) -> np.ndarray:
     """Rescale columns: zero mean and unit sample variance (denominator n-1),
     or scale to length sqrt(n).
 
-    A constant column cannot be variance-standardized and raises ValueError
-    naming it; under the length mode a zero column is left alone.  A column
-    whose scale (sd or norm) overflows raises ValueError naming it, since
-    dividing by that scale would zero the column.
+    A constant column cannot be variance-standardized and raises
+    UnscalableColumnError (a ValueError) naming it; under the length mode a
+    zero column is left alone.  A column whose scale (sd or norm) overflows
+    raises it too, since dividing by that scale would zero the column.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -436,13 +443,13 @@ def standardize_columns(X: np.ndarray, mode: str = MODE_MEAN_VAR) -> np.ndarray:
         scale = X.std(axis=0, ddof=1) if mode == MODE_MEAN_VAR else np.linalg.norm(X, axis=0)
     bad = np.flatnonzero(~np.isfinite(scale))
     if bad.size:
-        raise ValueError(f"column {int(bad[0])} overflows its scale and cannot be standardized")
+        raise UnscalableColumnError(bad[0], "overflows its scale")
     if mode == MODE_LENGTH:
         safe = np.where(scale > 0.0, scale, 1.0)
         return X * np.where(scale > 0.0, np.sqrt(X.shape[0]) / safe, 1.0)
     dead = np.flatnonzero(scale == 0.0)
     if dead.size:
-        raise ValueError(f"column {int(dead[0])} is constant and cannot be standardized")
+        raise UnscalableColumnError(dead[0], "is constant")
     return (X - X.mean(axis=0)) / scale
 
 

@@ -49,8 +49,7 @@ class AgsdarConfig:
     HBIC lower bound of the next level reaches the smallest HBIC so far,
     which never changes the selection (see the module docstring);
     full_path = True fits every level up to the cap instead, for the whole
-    HBIC curve.  warm_start = False refits every level from zero (cold
-    starts are independent, so levels can then be evaluated in parallel).
+    HBIC curve.  warm_start = False refits every level from zero.
     """
 
     increment_theta: int = 1

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy import linalg as sla
@@ -82,33 +83,27 @@ class SdarConfig:
 
     sparsity_t is the active-set cardinality T.  step_size_tau in (0, 1]
     scales the dual before support detection; 1 is the plain rule, smaller
-    values damp the screening on badly conditioned designs.  coef_cap bounds
-    logistic coefficients componentwise so that separable data cannot drive
-    the restricted solve to infinity.
+    values damp the screening on badly conditioned designs.  The class
+    constant coef_cap bounds logistic coefficients componentwise so that
+    separable data cannot drive the restricted solve to infinity.
     """
 
     sparsity_t: int
     step_size_tau: float = 1.0
     max_outer_iters: int = 50
-    newton_max_iters: int = 50
-    newton_grad_tol: float = 1e-8
-    ridge_jitter: float = 1e-8
-    coef_cap: float = 30.0
     with_intercept: bool = False
+    newton_max_iters: ClassVar[int] = 50
+    newton_grad_tol: ClassVar[float] = 1e-8
+    ridge_jitter: ClassVar[float] = 1e-8
+    coef_cap: ClassVar[float] = 30.0
 
     def __post_init__(self):
         if self.sparsity_t < 1:
             raise ValueError(f"sparsity_t must be >= 1, got {self.sparsity_t}")
         if not 0.0 < self.step_size_tau <= 1.0:
             raise ValueError(f"step_size_tau must lie in (0, 1], got {self.step_size_tau}")
-        if self.max_outer_iters < 1 or self.newton_max_iters < 1:
+        if self.max_outer_iters < 1:
             raise ValueError("iteration limits must be >= 1")
-        if self.newton_grad_tol <= 0.0:
-            raise ValueError("newton_grad_tol must be positive")
-        if self.ridge_jitter < 0.0:
-            raise ValueError("ridge_jitter must be nonnegative")
-        if self.coef_cap <= 0.0:
-            raise ValueError("coef_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -149,11 +144,11 @@ def top_t_support(v: np.ndarray, t: int) -> np.ndarray:
 _potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _solve_newton_system(H, g, cfg, active):
+def _solve_newton_system(H, g, active):
     """The Newton step x with H x = -g, bit for bit as
     scipy.linalg.solve(H, -g, assume_a="pos") computes it, for H or, when
-    ?potrf rejects H, for H + ridge_jitter * I.  A 1 x 1 system is a
-    division, as in scipy.  A non-finite H or g, or a system rejected twice,
+    ?potrf rejects H, for H + SdarConfig.ridge_jitter * I.  A 1 x 1 system is
+    a division, as in scipy.  A non-finite H or g, or a system rejected twice,
     raises SingularSystemError.
     """
     if not (np.isfinite(H).all() and np.isfinite(g).all()):
@@ -167,7 +162,7 @@ def _solve_newton_system(H, g, cfg, active):
             c, info = _potrf(A, clean=0)
             if info == 0:
                 return _potrs(c, -g)[0]
-        A = H + cfg.ridge_jitter * np.eye(H.shape[0])
+        A = H + SdarConfig.ridge_jitter * np.eye(H.shape[0])
     raise SingularSystemError(active)
 
 
@@ -181,61 +176,51 @@ def restricted_mle(
     """Minimize the NLL over coordinates in `active` (all others fixed at 0).
 
     Damped Newton with Armijo backtracking (halving, sufficient-decrease
-    1e-4).  Returns as soon as the restricted gradient satisfies
-    ||g||_inf <= newton_grad_tol, otherwise the best iterate found within
-    newton_max_iters, or as soon as a line-search candidate has the bits of
-    the current iterate (the step has rounded away, at the cap or in b).
-    For the logistic family every iterate is clipped to [-coef_cap, coef_cap]
-    componentwise, which keeps separable data finite.  Each Newton system is
-    solved by a direct Cholesky factorization (see the module docstring); a
-    singular one gets one ridge_jitter retry before raising
-    SingularSystemError, and one whose Hessian or gradient overflowed raises
-    it at once.  An overflowing linear predictor raises NumericOverflowError
-    and an overflowing NLL is +inf, which the line search rejects, so the
-    solve runs under np.errstate and warns of none of them.  The linear
-    predictor of the accepted line-search candidate is the next Newton
-    step's, so every value evaluation costs one product with the active
-    columns.
+    1e-4), which never raises the NLL.  Returns the last accepted iterate
+    once ||g||_inf <= newton_grad_tol, after newton_max_iters steps, or once
+    no step descends or a line-search candidate has the bits of the current
+    iterate (the step has rounded away, at the cap or in b).  For the
+    logistic family init and every iterate are clipped to [-coef_cap,
+    coef_cap] componentwise, which keeps separable data finite.  A Newton
+    system that stays singular after the ridge_jitter retry, or whose
+    Hessian or gradient overflowed, raises SingularSystemError, and an
+    overflowing linear predictor raises NumericOverflowError; an overflowing
+    NLL is +inf, which the line search rejects.  The solve runs under
+    np.errstate and warns of none of them.
     """
     active = np.asarray(active, dtype=int)
     if active.size == 0:
         raise ValueError("active set must be nonempty")
     if active.size > data.n:
-        raise ValueError(
-            f"active set size {active.size} exceeds the sample size {data.n}"
-        )
+        raise ValueError(f"active set size {active.size} exceeds the sample size {data.n}")
     Xa = np.ascontiguousarray(data.X[:, active])
     y = data.y
-    cap = cfg.coef_cap if family.name == "logistic" else None
+    cap = cfg.coef_cap if family.name == "logistic" else np.inf  # an infinite cap keeps the bits
 
     b = np.array(init, dtype=float)
     if b.shape != (active.size,):
         raise ValueError(f"init must have shape ({active.size},), got {b.shape}")
-    if cap is not None:
-        _clip(b, cap)
+    _clip(b, cap)
     with np.errstate(over="ignore", invalid="ignore"):  # each overflow is handled below
         theta = require_finite(Xa @ b)
         fb = family.nll(y, theta)
-        best_b, best_f = b, fb  # iterates are never written after they are made
-
         for _ in range(cfg.newton_max_iters):
             g = gradient_at_theta(family, Xa, y, theta)
             if np.abs(g).max() <= cfg.newton_grad_tol:
-                return b
+                break
             H = weighted_gram(Xa, family.variance(theta), data.n)
-            step = _solve_newton_system(H, g, cfg, active)
+            step = _solve_newton_system(H, g, active)
             slope = float(g @ step)
             if slope >= 0.0:
                 break  # numerically flat: no descent direction left
             t = 1.0
             while t >= 2.0**-40:
                 cand = b + t * step
-                if cap is not None:
-                    _clip(cand, cap)
+                _clip(cand, cap)
                 if cand.tobytes() == b.tobytes():
                     # the step rounded away, and so would every shorter one: a
                     # Newton step from b would only repeat this line search
-                    return best_b
+                    return b
                 theta_c = require_finite(Xa @ cand)
                 fc = family.nll(y, theta_c)
                 if fc <= fb + 1e-4 * t * slope:
@@ -244,9 +229,7 @@ def restricted_mle(
             else:
                 break  # the cap or rounding blocked all progress
             b, fb, theta = cand, fc, theta_c
-            if fb < best_f:
-                best_f, best_b = fb, b
-        return best_b
+        return b
 
 
 def _clip(b: np.ndarray, cap: float) -> None:

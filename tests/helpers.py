@@ -12,11 +12,13 @@ pure function of its seed: stream 0 feeds the design, 1 the coefficients,
 2 the responses.
 """
 
+import contextlib
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from scipy import linalg as sla
 
 import sdar_glm as sg
@@ -98,7 +100,6 @@ def best_subset_exhaustive(
     data: Dataset,
     t: int,
     exact_size: bool = True,
-    cfg: SdarConfig | None = None,
 ) -> OracleResult:
     """Globally best support by enumeration.
 
@@ -117,20 +118,30 @@ def best_subset_exhaustive(
         raise ValueError(
             f"{n_candidates} candidate supports exceed the enumeration budget {_ORACLE_BUDGET}"
         )
-    base = cfg if cfg is not None else SdarConfig(sparsity_t=max(t, 1))
-    solve_cfg = replace(base, newton_grad_tol=1e-10, newton_max_iters=200)
+    cfg = SdarConfig(sparsity_t=max(t, 1))
 
     best: OracleResult | None = None
-    for size in sizes:
-        for supp in itertools.combinations(range(p), size):
-            beta = np.zeros(p)
-            if size:
-                idx = np.asarray(supp, dtype=int)
-                beta[idx] = restricted_mle(family, data, idx, np.zeros(size), solve_cfg)
-            nll = negative_log_likelihood(family, data, beta)
-            if best is None or nll < best.nll:
-                best = OracleResult(np.asarray(supp, dtype=int), beta, nll)
+    with oracle_precision():
+        for size in sizes:
+            for supp in itertools.combinations(range(p), size):
+                beta = np.zeros(p)
+                if size:
+                    idx = np.asarray(supp, dtype=int)
+                    beta[idx] = restricted_mle(family, data, idx, np.zeros(size), cfg)
+                nll = negative_log_likelihood(family, data, beta)
+                if best is None or nll < best.nll:
+                    best = OracleResult(np.asarray(supp, dtype=int), beta, nll)
     return best
+
+
+@contextlib.contextmanager
+def oracle_precision():
+    """Restricted solves to gradient tolerance 1e-10 within 200 Newton
+    steps, the oracle's precision, while the block runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SdarConfig, "newton_grad_tol", 1e-10)
+        mp.setattr(SdarConfig, "newton_max_iters", 200)
+        yield
 
 
 def finite_difference_gradient(

@@ -52,3 +52,12 @@ def test_the_test_references_are_not_shipped():
 
 def test_a_dataset_holds_only_its_design_and_responses():
     assert tuple(f.name for f in fields(sg.Dataset)) == ("X", "y")
+
+
+def test_a_solver_config_holds_only_the_options_a_caller_sets():
+    # the restricted Newton numerics are class constants, not fields
+    assert tuple(f.name for f in fields(sg.SdarConfig)) == (
+        "sparsity_t", "step_size_tau", "max_outer_iters", "with_intercept",
+    )
+    with pytest.raises(TypeError):
+        sg.SdarConfig(sparsity_t=1, coef_cap=8.0)

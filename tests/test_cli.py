@@ -517,7 +517,30 @@ def test_a_column_whose_scale_overflows_cannot_be_standardized(tmp_path, capsys,
             "--standardize", standardize]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
-    assert err == "error: column 0 overflows its scale and cannot be standardized\n"
+    assert err == "error: feature 1 overflows its scale and cannot be standardized\n"
+
+
+def test_a_constant_feature_cannot_be_standardized(tmp_path, capsys):
+    # the file counts features from 1, as support_1based and coef[j] do
+    path = tmp_path / "constant_feature.txt"
+    path.write_text("1 1:0.5 2:3\n0 1:-1 2:3\n1 1:2 2:3\n0 1:-0.5 2:3\n", encoding="ascii")
+    argv = ["fit", "--family", "logistic", "--data", str(path), "--T", "1",
+            "--standardize", "mean0var1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == "error: feature 2 is constant and cannot be standardized\n"
+
+
+@pytest.mark.parametrize("module", ["sdar_glm", "sdar_glm.cli"])
+@pytest.mark.parametrize("t, code", [("1", 0), ("0", 1)], ids=["fit", "bad-flag"])
+def test_python_dash_m_runs_the_cli(tmp_path, capsys, module, t, code):
+    argv = ["fit", "--family", "logistic", "--data", planted_file(tmp_path), "--T", t]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)))
+    done = subprocess.run([sys.executable, "-m", module, *argv],
+                          env=env, capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(argv, capsys)
+    assert done.returncode == code
+    assert (done.stderr == "") == (code == 0)
 
 
 # --- path --------------------------------------------------------------------

@@ -167,16 +167,13 @@ def test_coefficient_change_floor_stops_the_sweep_early():
     assert res.selected_t == 2
 
 
-def test_per_level_failures_are_recorded_and_skipped():
+def test_per_level_failures_are_recorded_and_skipped(monkeypatch):
     # exactly duplicated integer columns make the T = 2 Hessian singular in
     # exact arithmetic; with the jitter retry disabled that level must fail
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     data = sg.Dataset(X, np.array([1.0, 2.0, 3.5]))
-    cfg = sg.AgsdarConfig(
-        max_support_q=2,
-        warm_start=False,
-        inner=sg.SdarConfig(sparsity_t=1, ridge_jitter=0.0),
-    )
+    monkeypatch.setattr(sg.SdarConfig, "ridge_jitter", 0.0)
+    cfg = sg.AgsdarConfig(max_support_q=2, warm_start=False)
     res = sg.agsdar_fit(sg.GAUSSIAN, data, cfg)
     assert [t for t, _ in res.failures] == [2]
     assert "active set [0, 1]" in res.failures[0][1]
@@ -297,14 +294,15 @@ def test_early_stop_selects_what_the_full_path_selects(name, intercept, theta, w
         _assert_early_stop_is_exact(family, data, cfg)
 
 
-def test_early_stop_is_exact_past_a_failed_level():
+def test_early_stop_is_exact_past_a_failed_level(monkeypatch):
     # integer columns 2 and 3 are identical, so every cold-started level that
     # ranks both into its support has an exactly singular Hessian
     rng = make_rng(2)
     X = rng.integers(-3, 4, size=(30, 8)).astype(float)
     X[:, 3] = X[:, 2]
     y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + 0.5 * X[:, 2] + 0.5 * rng.standard_normal(30)
-    cfg = sg.AgsdarConfig(warm_start=False, inner=sg.SdarConfig(sparsity_t=1, ridge_jitter=0.0))
+    monkeypatch.setattr(sg.SdarConfig, "ridge_jitter", 0.0)
+    cfg = sg.AgsdarConfig(warm_start=False)
     early, full = _assert_early_stop_is_exact(sg.GAUSSIAN, sg.Dataset(X, y), cfg)
     assert [t for t, _ in early.failures] == [4, 5, 6]
     assert early.skipped == (7, 8)
