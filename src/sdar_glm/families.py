@@ -157,8 +157,9 @@ class Dataset:
     _x_checked is private to callers whose X is known finite: read_libsvm
     checks each entry as it parses; pad_features, train_test_split, the
     CLI's unstandardized design and the solver's intercept block build X
-    from a Dataset's X (plus zeros or ones).  It skips the scan of X,
-    nothing else.
+    from a Dataset's X (plus zeros or ones); generate_instance draws only
+    the designs that SimConfig admits as finite by construction.  It skips
+    the scan of X, nothing else.
     """
 
     X: np.ndarray

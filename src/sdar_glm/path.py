@@ -65,9 +65,9 @@ class AgsdarConfig:
             raise ValueError(f"increment_theta must be >= 1, got {self.increment_theta}")
         if self.max_support_q is not None and self.max_support_q < 1:
             raise ValueError(f"max_support_q must be >= 1, got {self.max_support_q}")
-        if self.nll_below is not None and self.nll_below < 0.0:
+        if self.nll_below is not None and not self.nll_below >= 0.0:
             raise ValueError("nll_below must be nonnegative")
-        if self.change_below is not None and self.change_below < 0.0:
+        if self.change_below is not None and not self.change_below >= 0.0:
             raise ValueError("change_below must be nonnegative")
 
 

@@ -62,6 +62,13 @@ class SimConfig:
 
     range_ratio is the upper coefficient bound R for the "ar1" scheme and is
     ignored by "banded", whose bounds are fixed by (n, p).
+
+    Construction admits only cells whose design is finite by construction,
+    so generate_instance builds its Dataset without rescanning X.  "ar1"
+    takes rho in [0, 1), where the recursion is bounded, and a finite R > 1.
+    "banded" takes a rho >= 0 whose entry bound (1 + 2 rho) sqrt(n) is at
+    most half the largest float: each normalized column has length sqrt(n),
+    and the factor 2 covers the rounding of the normalization and the mix.
     """
 
     n: int
@@ -82,13 +89,20 @@ class SimConfig:
         if self.scheme == SCHEME_BANDED:
             if self.p < 3:
                 raise ValueError("the banded scheme needs p >= 3")
-            if self.rho < 0.0:
-                raise ValueError("rho must be nonnegative")
+            entry_bound = (1.0 + 2.0 * self.rho) * math.sqrt(self.n)
+            if not (self.rho >= 0.0 and 2.0 * entry_bound < math.inf):
+                raise ValueError(
+                    "rho must be nonnegative, with (1 + 2 rho) sqrt(n) at most half "
+                    f"the largest float, got {self.rho}"
+                )
         else:
             if not 0.0 <= self.rho < 1.0:
                 raise ValueError("the ar1 scheme needs rho in [0, 1)")
-            if self.range_ratio <= 1.0:
-                raise ValueError("range_ratio must exceed 1")
+            if not 1.0 < self.range_ratio < math.inf:
+                raise ValueError(
+                    "range_ratio must exceed 1" if self.range_ratio <= 1.0
+                    else f"range_ratio must be finite, got {self.range_ratio}"
+                )
 
     def coefficient_bounds(self) -> tuple[float, float]:
         if self.scheme == SCHEME_BANDED:
@@ -158,8 +172,8 @@ def gen_coefficients(
     uniformly random size-k support.  Returns (beta, support ascending)."""
     if k == 0:
         return np.zeros(p), np.empty(0, dtype=int)
-    if not 0.0 < m1 < m2:
-        raise ValueError(f"need 0 < m1 < m2, got ({m1}, {m2})")
+    if not 0.0 < m1 < m2 < math.inf:
+        raise ValueError(f"need 0 < m1 < m2 < inf, got ({m1}, {m2})")
     if not 1 <= k <= p:
         raise ValueError(f"k must lie in [0, {p}], got {k}")
     rng = as_rng(seed)
@@ -175,10 +189,22 @@ def gen_coefficients(
 def gen_bernoulli_responses(
     X: np.ndarray, beta_star: np.ndarray, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """y_i ~ Bernoulli(sigmoid(x_i . beta*)), as floats in {0, 1}."""
+    """y_i ~ Bernoulli(sigmoid(x_i . beta*)), as floats in {0, 1}.
+
+    A row whose x_i . beta* overflows is recomputed from x_i and beta*
+    divided by their largest magnitudes, so a sum that cancels comes out
+    finite and one that does not is +-inf, whose sigmoid is 1 or 0.
+    """
     rng = as_rng(seed)
-    probs = expit(X @ np.asarray(beta_star, dtype=float))
-    return (rng.random(X.shape[0]) < probs).astype(float)
+    beta = np.asarray(beta_star, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = X @ beta
+        over = ~np.isfinite(theta)
+        if over.any():
+            rows = X[over]
+            a, s = np.abs(rows).max(), np.abs(beta).max()
+            theta[over] = (rows / a) @ (beta / s) * a * s
+    return (rng.random(X.shape[0]) < expit(theta)).astype(float)
 
 
 def generate_instance(
@@ -199,17 +225,27 @@ def generate_instance(
         cfg.p, cfg.k, m1, m2, make_rng(base, rep, 1), random_signs=cfg.signed_coefficients
     )
     y = gen_bernoulli_responses(X, beta_star, make_rng(base, rep, 2))
-    return Dataset(X, y), beta_star, support_star
+    # SimConfig admits only designs that are finite by construction
+    return Dataset(X, y, _x_checked=True), beta_star, support_star
 
 
 def metric_reerr(beta_hat: np.ndarray, beta_star: np.ndarray) -> float:
-    """Relative l2 error ||beta_hat - beta*|| / ||beta*||."""
+    """Relative l2 error ||beta_hat - beta*|| / ||beta*||.
+
+    When a norm overflows, both vectors are first divided by their largest
+    magnitude, which leaves the ratio finite.
+    """
     beta_hat = np.asarray(beta_hat, dtype=float)
     beta_star = np.asarray(beta_star, dtype=float)
-    denom = float(np.linalg.norm(beta_star))
+    diff = beta_hat - beta_star
+    with np.errstate(over="ignore"):
+        num, denom = float(np.linalg.norm(diff)), float(np.linalg.norm(beta_star))
     if denom == 0.0:
         raise ValueError("beta_star must be nonzero")
-    return float(np.linalg.norm(beta_hat - beta_star)) / denom
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        scale = max(np.abs(diff).max(), np.abs(beta_star).max())
+        num, denom = float(np.linalg.norm(diff / scale)), float(np.linalg.norm(beta_star / scale))
+    return num / denom
 
 
 def metric_acrp(y_pred: np.ndarray, y_true: np.ndarray) -> float:

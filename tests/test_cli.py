@@ -250,8 +250,12 @@ SIM = ["simulate", "--scheme", "ar1", "--n", "20", "--p", "10", "--K", "2", "--r
          "error: n and p must be positive"),
         (["bench-iters", "--n", "20", "--p", "0", "--K", "1:1:2", "--reps", "1"],
          "error: n and p must be positive"),
+        (["bench-iters", "--n", "20", "--p", "10", "--K", "2", "--reps", "1", "--R", "inf"],
+         "error: range_ratio must be finite, got inf"),
+        (["bench-iters", "--n", "20", "--p", "10", "--K", "2", "--reps", "1", "--R", "nan"],
+         "error: range_ratio must be finite, got nan"),
     ],
-    ids=["tau", "split", "theta", "reps", "T", "R", "n", "p"],
+    ids=["tau", "split", "theta", "reps", "T", "R", "n", "p", "R-inf", "R-nan"],
 )
 def test_a_bad_flag_shared_by_every_cell_exits_one(argv, message, capsys):
     # checked once before the first cell, not reported as a failed row per cell
@@ -631,6 +635,39 @@ def test_simulate_records_invalid_cells_without_dying(capsys):
     assert by_k["20"]["reerr"] == ""
 
 
+@pytest.mark.parametrize(
+    "scheme, flag, value, field",
+    [("ar1", "--R", "inf", "range_ratio"), ("banded", "--rho", "inf", "rho"),
+     ("banded", "--rho", "nan", "rho"), ("banded", "--rho", "1e308", "rho")],
+)
+def test_a_cell_that_cannot_be_drawn_finite_is_a_failed_row(scheme, flag, value, field, capsys):
+    # SimConfig rejects it before any draw: no numpy OverflowError, no rescan
+    code, out, err = run_cli(["simulate", "--scheme", scheme, "--n", "20", "--p", "10",
+                              "--K", "2", "--reps", "1", flag, value], capsys)
+    assert (code, err) == (2, "")
+    header, rows = csv_rows(out)
+    assert len(rows) == 1
+    row = dict(zip(header, rows[0]))
+    assert row["error"].startswith(f"{field} must be") and row["reerr"] == ""
+
+
+def test_simulate_reports_a_finite_reerr_when_the_coefficients_overflow_their_norm(capsys):
+    code, out, err = run_cli(SIM + ["--R", "1e200"], capsys)
+    assert (code, err) == (0, "")
+    header, rows = csv_rows(out)
+    row = dict(zip(header, rows[0]))
+    assert row["rep_failures"] == "0" and math.isfinite(float(row["reerr"]))
+
+
+def test_path_rejects_a_nan_stop(tmp_path, capsys):
+    data = planted_file(tmp_path)
+    for flag, field in (("--stop-nll", "nll_below"), ("--stop-change", "change_below")):
+        code, out, err = run_cli(["path", "--family", "logistic", "--data", data,
+                                  flag, "nan"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {field} must be nonnegative"]
+
+
 def test_simulate_exits_two_when_every_cell_is_invalid(capsys):
     code, out, _ = run_cli(
         ["simulate", "--scheme", "ar1", "--n", "5", "--p", "20", "--K", "10",
@@ -849,8 +886,8 @@ def draw_argv(draw, tmp_path):
     if command == "path":
         return ["path", *family, "--data", draw_tiny_file(draw, tmp_path / "a.txt"),
                 *draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS, "--Q": ["0", "1", "3"],
-                                   "--theta": ["1", "2", "0"], "--stop-nll": ["0.5"],
-                                   "--stop-change": ["0.01"], "--cold-start": [None],
+                                   "--theta": ["1", "2", "0"], "--stop-nll": ["0.5", "nan"],
+                                   "--stop-change": ["0.01", "nan"], "--cold-start": [None],
                                    "--full-path": [None]})]
     if command == "real-data":
         argv = ["real-data", *family, "--train", draw_tiny_file(draw, tmp_path / "a.txt")]
@@ -862,7 +899,8 @@ def draw_argv(draw, tmp_path):
     # at most 2 replications (the default is 100) and sweeps of 2 values
     replication = ["--reps", draw(st.sampled_from(["1", "2", "0"])), *draw_flags(draw, {
         "--seed": ["0", "3"], "--tau": ["1", "0.5", "0"],
-        "--rho": ["0.3", "0:1:1", "-0.5", "1.5"], "--R": ["3", "0.5", "-1"]})]
+        "--rho": ["0.3", "0:1:1", "-0.5", "1.5", "inf", "nan", "1e308"],
+        "--R": ["3", "0.5", "-1", "inf", "nan", "1e308"]})]
     if command == "simulate":
         return ["simulate", "--scheme", draw(st.sampled_from(["ar1", "banded"])),
                 "--n", draw(st.sampled_from(["8", "6:6:12", "0", "2"])),

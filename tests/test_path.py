@@ -327,3 +327,10 @@ def test_path_needs_three_observations():
 def test_path_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         sg.AgsdarConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["nll_below", "change_below"])
+def test_a_nan_stop_is_rejected_with_the_message_of_a_negative_one(field):
+    # nan < 0 is False: a NaN stop would never fire, so the check must fail on NaN
+    with pytest.raises(ValueError, match=f"^{field} must be nonnegative$"):
+        sg.AgsdarConfig(**{field: math.nan})

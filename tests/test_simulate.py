@@ -5,13 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 import sdar_glm as sg
 from sdar_glm.rng import make_rng
 
-from helpers import ar1_design_with_separate_draws
+from helpers import ar1_design_with_separate_draws, count_finite_scans
 
 
 # --- configuration -----------------------------------------------------------
@@ -45,11 +45,72 @@ def test_ar1_bounds_are_one_to_range_ratio():
             {"n": 10, "p": 5, "k": 1, "range_ratio": 1.0, "scheme": sg.SCHEME_AR1},
             "range_ratio must exceed 1",
         ),
+        ({"n": 10, "p": 5, "k": 1, "rho": math.inf}, "rho must be nonnegative"),
+        ({"n": 10, "p": 5, "k": 1, "rho": math.nan}, "rho must be nonnegative"),
+        ({"n": 10, "p": 5, "k": 1, "rho": 1e308}, "rho must be nonnegative"),
+        ({"n": 20, "p": 5, "k": 1, "rho": 5e307}, "rho must be nonnegative"),
+        ({"n": 10, "p": 5, "k": 1, "rho": math.nan, "scheme": sg.SCHEME_AR1}, "rho in"),
+        (
+            {"n": 10, "p": 5, "k": 1, "range_ratio": math.inf, "scheme": sg.SCHEME_AR1},
+            "range_ratio must be finite, got inf",
+        ),
+        (
+            {"n": 10, "p": 5, "k": 1, "range_ratio": math.nan, "scheme": sg.SCHEME_AR1},
+            "range_ratio must be finite, got nan",
+        ),
     ],
 )
 def test_sim_config_rejects_bad_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
         sg.SimConfig(**kwargs)
+
+
+def test_the_banded_rho_bound_admits_a_finite_design_at_n_20():
+    # (1 + 2 rho) sqrt(20) is about 8.9e307 at rho = 1e307, under half the
+    # largest float; at 5e307 it is past it (see the rejection cases above)
+    data, _, _ = sg.generate_instance(sg.SimConfig(n=20, p=10, k=2, rho=1e307))
+    assert np.isfinite(data.X).all()
+    assert np.abs(data.X).max() <= (1.0 + 2.0 * 1e307) * math.sqrt(20)
+
+
+def cell_floats(admitted):
+    """Values the ar1 rule admits, the edges of every float rule, and floats
+    of any size."""
+    edges = st.sampled_from([0.0, 1.0, -1.0, 1e307, 5e307, 1e308, math.inf, -math.inf, math.nan])
+    return admitted | edges | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    p=st.integers(1, 6),
+    k=st.integers(0, 3),
+    rho=cell_floats(st.floats(0.0, 1.0, exclude_max=True)),
+    range_ratio=cell_floats(st.floats(1.0, 1e308, exclude_min=True)),
+    scheme=st.sampled_from([sg.SCHEME_BANDED, sg.SCHEME_AR1]),
+    seed=st.integers(0, 2**32),
+)
+def test_every_cell_a_sim_config_admits_draws_a_finite_instance(
+    n, p, k, rho, range_ratio, scheme, seed
+):
+    # SimConfig is the only check: what it admits is drawn finite, with no
+    # RuntimeWarning (an error in this suite), and is not scanned again
+    try:
+        cfg = sg.SimConfig(n=n, p=p, k=k, rho=rho, range_ratio=range_ratio,
+                           scheme=scheme, seed=seed)
+    except ValueError:
+        return
+    data, beta_star, support_star = sg.generate_instance(cfg)
+    assert np.isfinite(data.X).all() and np.isfinite(data.y).all()
+    assert set(np.unique(data.y)) <= {0.0, 1.0}
+    assert np.isfinite(beta_star).all() and support_star.size == k
+
+
+@pytest.mark.parametrize("scheme", [sg.SCHEME_BANDED, sg.SCHEME_AR1])
+def test_generate_instance_does_not_rescan_the_design(scheme, monkeypatch):
+    scans = count_finite_scans(monkeypatch, lambda shape: len(shape) == 2)
+    sg.generate_instance(sg.SimConfig(n=30, p=8, k=2, rho=0.3, scheme=scheme))
+    assert scans == []
 
 
 # --- designs -----------------------------------------------------------------
@@ -177,6 +238,9 @@ def test_gen_coefficients_determinism_and_validation():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     with pytest.raises(ValueError, match="0 < m1 < m2"):
         sg.gen_coefficients(30, 5, 2.0, 1.0, 0)
+    for m2 in (math.inf, math.nan):  # no OverflowError from the uniform draw
+        with pytest.raises(ValueError, match="0 < m1 < m2 < inf"):
+            sg.gen_coefficients(10, 2, 1.0, m2, 0)
     with pytest.raises(ValueError, match="k must lie"):
         sg.gen_coefficients(30, 31, 1.0, 2.0, 0)
 
@@ -192,6 +256,18 @@ def test_bernoulli_responses_follow_the_link():
     tilted = sg.gen_bernoulli_responses(X, np.array([1.0]), make_rng(12))
     assert np.mean(tilted) == pytest.approx(expit(1.0), abs=0.01)
     assert expit(1.0) == pytest.approx(0.7310585786300049, abs=1e-15)
+
+
+def test_an_overflowing_linear_predictor_is_recomputed_scaled():
+    # rows 0 and 1 overflow to +-inf, so y is 1 and 0; row 2 overflows in
+    # floating point but cancels to 0, a fair coin; row 3 is computed as before
+    X = np.array([[1e300, 0.0], [-1e300, 0.0], [1e300, 1e300], [1e-10, 0.5e-10]])
+    beta = np.array([1e10, -1e10])
+    theta = np.array([math.inf, -math.inf, 0.0, X[3] @ beta])
+    for i in range(20):
+        u = make_rng(13, i).random(4)
+        y = sg.gen_bernoulli_responses(X, beta, make_rng(13, i))
+        assert np.array_equal(y, (u < expit(theta)).astype(float))
 
 
 # --- instances ---------------------------------------------------------------
@@ -229,6 +305,21 @@ def test_reerr_basics():
     assert sg.metric_reerr(np.zeros(3), b) == 1.0
     with pytest.raises(ValueError, match="nonzero"):
         sg.metric_reerr(b, np.zeros(3))
+
+
+def test_reerr_is_finite_when_the_norm_of_beta_star_overflows():
+    star = np.array([1e200, 1e200, 0.0])
+    assert sg.metric_reerr(np.zeros(3), star) == 1.0
+    assert sg.metric_reerr(star / 2.0, star) == pytest.approx(0.5, rel=1e-15)
+    assert sg.metric_reerr(np.array([30.0, -30.0, 1.0]), star) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_reerr_keeps_the_bits_of_the_plain_ratio_when_the_norms_are_finite():
+    rng = make_rng(14)
+    for _ in range(50):
+        hat, star = rng.standard_normal(8) * 1e150, rng.standard_normal(8) * 1e150
+        plain = float(np.linalg.norm(hat - star)) / float(np.linalg.norm(star))
+        assert sg.metric_reerr(hat, star) == plain
 
 
 def test_acrp_counts_matches():
