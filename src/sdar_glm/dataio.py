@@ -39,6 +39,19 @@ pieces before it; the numpy passes of both stages release the GIL.  A
 piece starts a line and holds whole lines, comments included, so X, y and
 the error of a malformed file do not depend on the number of pieces.  A
 file of one piece is read on the calling thread and starts none.
+
+write_libsvm writes the bytes that one repr per nonzero value would, by the
+reader's arithmetic run backwards where it can.  Let f <= 18 be the most
+places that keep m = rint(|v| * 10**f) below 10**15.  When 1e-4 <= |v| and
+m / 10**f == |v|, exactly one decimal of at most 15 significant digits
+rounds to v, m * 10**-f, and repr(v) spells it without an exponent; the
+writer spells it from the integers m and f: the integer part with no
+leading zeros, the point, and the fraction with no trailing zeros (`.0` for
+a whole number).  Every other value, and every label, is spelled by repr,
+so every nonzero value reads back with its bits.  X is scanned for nonzeros
+a block of rows at a time, and each chunk of rows becomes one fixed-width
+bytes array with an item per label and per ` index:value` token, in file
+order, padded with NUL bytes that are dropped on output.
 """
 
 from __future__ import annotations
@@ -401,16 +414,220 @@ def _raise_first_bad_line(raw: bytes) -> NoReturn:
 
 
 def write_libsvm(data: Dataset, path: str) -> None:
-    """Write in LIBSVM text form; zeros are omitted, values round-trip exactly."""
-    flat = np.flatnonzero(data.X != 0.0)  # several times faster than np.nonzero(data.X)
-    rows, cols = np.divmod(flat, data.p)
-    tokens = list(map("{}:{!r}".format, (cols + 1).tolist(), data.X.ravel()[flat].tolist()))
-    ends = np.cumsum(np.bincount(rows, minlength=data.n)).tolist()
-    start = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for label, end in zip(data.y.tolist(), ends):
-            fh.write(" ".join([repr(label), *tokens[start:end]]) + "\n")
-            start = end
+    """Write data in LIBSVM text form, one line per row: the label's repr,
+    then `index:value` for each nonzero entry, 1-based.
+
+    Every nonzero value reads back bit for bit, spelled as Python's repr
+    spells it; -0.0 counts as zero and is omitted with the zeros.  A file
+    keeps no column count, since trailing zero columns leave no index:
+    read_libsvm(path, n_features=data.p) restores the shape.  A dataset of
+    no rows writes an empty file, which read_libsvm rejects.
+    """
+    with open(path, "wb") as fh:
+        for labels, flat, values in _nonzero_chunks(data.X, data.y):
+            fh.write(_lines(labels, flat, values, data.p))
+
+
+# the entries of X scanned at a time (512 KiB), and the nonzeros spelled at a time
+_SCAN_ENTRIES = 1 << 16
+_CHUNK_NONZEROS = 1 << 17
+
+
+def _nonzero_chunks(X: np.ndarray, y: np.ndarray):
+    """Consecutive row ranges of X that hold at least _CHUNK_NONZEROS nonzero
+    entries (the last may hold fewer), each as its labels, the row-major flat
+    indices of its nonzeros within its rows, and their values.
+
+    X is scanned a block of about _SCAN_ENTRIES entries at a time, so the
+    comparison's temporary stays in cache.
+    """
+    n, p = X.shape
+    step = max(1, _SCAN_ENTRIES // p)
+    first, flats, values, held = 0, [], [], 0
+    for start in range(0, n, step):
+        block = X[start : start + step]
+        flat = np.flatnonzero(block != 0.0)
+        values.append(np.take(block, flat))
+        flats.append(flat + (start - first) * p)
+        held += flat.size
+        stop = start + block.shape[0]
+        if held >= _CHUNK_NONZEROS or stop == n:
+            yield y[first:stop], np.concatenate(flats), np.concatenate(values)
+            first, flats, values, held = stop, [], [], 0
+
+
+def _lines(labels: np.ndarray, flat: np.ndarray, values: np.ndarray, p: int) -> bytes:
+    """The LIBSVM lines of rows with these labels, whose nonzero entries sit at
+    the row-major flat indices `flat` with these values, as ASCII bytes.
+
+    Each label and each ` index:value` token is an item of one fixed-width
+    bytes array, in file order, padded with NUL bytes; dropping the NULs
+    leaves the text.  Each label but the first carries the line feed that
+    ends the line before it, and a last item holds the final one.
+    """
+    rows = flat // p
+    heads = ["\n" + text for text in map(repr, labels.tolist())]
+    heads[0] = heads[0][1:]
+    tokens = _tokens(flat - rows * p, values, p, min_width=max(map(len, heads)))
+    width = tokens.dtype.itemsize
+    counts = np.bincount(rows, minlength=labels.size)
+    starts = np.cumsum(counts) - counts
+    items = np.zeros(labels.size + rows.size + 1, f"V{width}")
+    items[np.arange(labels.size) + starts] = np.array(heads, f"S{width}").view(f"V{width}")
+    items[np.arange(rows.size) + rows + 1] = tokens.view(f"V{width}")
+    items.view(np.uint8)[-width] = 10
+    return items.tobytes().translate(None, b"\0")
+
+
+def _tokens(cols: np.ndarray, values: np.ndarray, p: int, min_width: int) -> np.ndarray:
+    """The ` index:value` token of each nonzero value in column cols (0-based)
+    of p columns, as items of one structured array, NUL-padded to at least
+    min_width bytes.
+
+    A canonical value (_decimal_form) is spelled from exact integers: its
+    sign, its integer part with leading zeros NUL, the point, and its
+    fraction digits with trailing zeros NUL (a lone 0 for a whole number).
+    Every other value is spelled by _spell_with_repr.
+    """
+    magnitude = np.abs(values)
+    places, digits, canonical = _decimal_form(magnitude)
+    exact = slice(None) if canonical.all() else np.flatnonzero(canonical)
+    rest = np.flatnonzero(~canonical)
+    any_exact = rest.size < values.size
+    index_width = len(str(p))
+    fields = [("index", f"V{index_width + 2}")]
+    if any_exact:
+        # the decimal is whole + part / 10**places, with part below 10**places;
+        # part scaled to 18 places is an exact int64, its digits left-aligned
+        whole = np.floor(magnitude[exact]).astype(np.int64)
+        places = places[exact]
+        part = digits[exact].astype(np.int64) - whole * _POW10_INT[places]
+        part *= _POW10_INT[18 - places]
+        zeros = _shared_zeros(part)
+        part //= _POW10_INT[zeros]
+        whole_words, part_words = -(-len(str(whole.max())) // 4), -(-(18 - zeros) // 4)
+        fields += [("sign", "u1"), ("whole", f"({whole_words},)u4"), ("point", "u1"),
+                   ("part", f"({part_words},)u4")]
+    if rest.size:
+        spelled = _spell_with_repr(values[rest])
+        fields.append(("repr", spelled.dtype))
+    padding = min_width - np.dtype(fields).itemsize
+    if padding > 0:
+        fields.append(("padding", f"V{padding}"))
+    tokens = np.zeros(values.size, fields)
+    if p <= values.size:  # no more columns than tokens: spell each column once
+        tokens["index"] = _index_prefixes(np.arange(1, p + 1), index_width)[cols]
+    else:
+        tokens["index"] = _index_prefixes(cols + 1, index_width)
+    if any_exact:
+        tokens["sign"][exact] = np.uint8(45) * (values[exact] < 0.0)
+        tokens["whole"][exact] = _leading_words(whole, whole_words)
+        tokens["point"][exact] = 46
+        tokens["part"][exact] = _trailing_words(part, part_words, 4 * part_words - 18 + zeros)
+    if rest.size:
+        tokens["repr"][rest] = spelled
+    return tokens
+
+
+def _spell_with_repr(values: np.ndarray) -> np.ndarray:
+    """values spelled by Python's repr, as a bytes array as wide as the longest."""
+    spelled = list(map(repr, values.tolist()))
+    return np.array(spelled, f"S{max(map(len, spelled))}")
+
+
+# 10**f for f = 0..18, each an exact double, and as int64
+_POW10 = np.array([10.0**f for f in range(19)])
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _decimal_form(magnitude: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For positive finite magnitudes a: places f, digits m = rint(a * 10**f)
+    with f <= 18 the most places that keep m below 10**15, and which a are
+    canonical: a >= 1e-4, m < 10**15 and m / 10**f == a.
+
+    m and 10**f are exact doubles, so the division is correctly rounded, and
+    m / 10**f == a says that the decimal m * 10**-f, of at most 15
+    significant digits, rounds to a.  At most one decimal of 15 or fewer
+    significant digits rounds to a given double, so it is the shortest that
+    reads back as a, the digits of repr(a), which repr writes without an
+    exponent since 1e-4 <= a < 1e16.  A decimal with fewer places passes the
+    test at the most places too (m gains only zeros), so one test decides.
+    """
+    places = np.clip(14.0 - np.floor(np.log10(magnitude)), 0.0, 18.0).astype(np.intp)
+    digits = np.rint(magnitude * _POW10[places])
+    # log10 may round across a power of ten: move those values by one place
+    off = np.flatnonzero(((digits >= 1e15) & (places > 0)) | ((digits < 1e14) & (places < 18)))
+    if off.size:
+        places[off] += np.where(digits[off] >= 1e15, -1, 1)
+        digits[off] = np.rint(magnitude[off] * _POW10[places[off]])
+    canonical = (magnitude >= 1e-4) & (digits < 1e15) & (digits / _POW10[places] == magnitude)
+    return places, digits, canonical
+
+
+def _shared_zeros(part: np.ndarray) -> int:
+    """The most trailing decimal zeros, at most 17, that every part has."""
+    for zeros in range(17, 0, -1):
+        unit = _POW10_INT[zeros]
+        if not (np.any(part[:64] % unit) or np.any(part % unit)):  # most misses show early
+            return zeros
+    return 0
+
+
+def _word_table(spell) -> np.ndarray:
+    """The four bytes spell(k) of each k = 0..9999 as one uint32 word."""
+    return np.frombuffer(b"".join(map(spell, range(10000))), np.uint32)
+
+
+# ASCII words of four digits, indexed by the digits' value plus 10000 when no
+# nonzero digit lies beyond them: to the left, whose zeros are then NUL, or to
+# the right, whose trailing zeros are then NUL.  The rightmost word of a
+# number keeps its one 0 when the number is 0.
+_DIGITS = _word_table(lambda k: b"%04d" % k)
+_LEADING_LAST = np.concatenate([_DIGITS, _word_table(lambda k: (b"%d" % k).rjust(4, b"\0"))])
+_LEADING = _LEADING_LAST.copy()
+_LEADING[10000] = 0
+_TRAILING = np.concatenate([_DIGITS, _word_table(lambda k: (b"%04d" % k).rstrip(b"0").ljust(4, b"\0"))])
+
+
+def _leading_words(x: np.ndarray, count: int) -> np.ndarray:
+    """The digits of each x (0 <= x < 10**(4 * count)) right-aligned in
+    `count` words, leading zeros NUL and 0 spelled 0."""
+    words = np.empty((x.size, count), np.uint32)
+    table = _LEADING_LAST
+    for k in range(count - 1, -1, -1):
+        left = x // 10000
+        words[:, k] = table[x - left * 10000 + 10000 * (left == 0)]
+        table, x = _LEADING, left
+    return words
+
+
+def _trailing_words(x: np.ndarray, count: int, pad: int) -> np.ndarray:
+    """The 4 * count - pad digits of each x, zero-padded on the left, after
+    `pad` NUL bytes in `count` words, trailing zeros NUL and 0 spelled 0."""
+    words = np.empty((x.size, count), np.uint32)
+    first = _TRAILING.view(np.uint8).reshape(-1, 4).copy()
+    first[:, :pad] = 0
+    first[10000, pad] = 48  # the lone 0 of x == 0
+    right_zero = np.ones(x.size, bool)
+    for k in range(count - 1, -1, -1):
+        left = x // 10000
+        quad = x - left * 10000
+        table = first.view(np.uint32).ravel() if k == 0 else _TRAILING
+        words[:, k] = table[quad + 10000 * right_zero]
+        right_zero &= quad == 0
+        x = left
+    return words
+
+
+def _index_prefixes(index: np.ndarray, width: int) -> np.ndarray:
+    """' index:' for each index (1 <= index < 10**width), NUL-padded to
+    width + 2 bytes, as one void item each."""
+    count = -(-width // 4)
+    spelled = np.zeros((index.size, width + 2), np.uint8)
+    spelled[:, 0] = 32
+    spelled[:, 1:-1] = _leading_words(index, count).view(np.uint8)[:, 4 * count - width :]
+    spelled[:, -1] = 58
+    return spelled.view(f"V{width + 2}").ravel()
 
 
 def map_labels_to_binary(y: np.ndarray) -> np.ndarray:

@@ -87,14 +87,7 @@ class SimConfig:
         if not 0 <= self.k <= min(self.n, self.p):
             raise ValueError(f"k must lie in [0, min(n, p)], got {self.k}")
         if self.scheme == SCHEME_BANDED:
-            if self.p < 3:
-                raise ValueError("the banded scheme needs p >= 3")
-            entry_bound = (1.0 + 2.0 * self.rho) * math.sqrt(self.n)
-            if not (self.rho >= 0.0 and 2.0 * entry_bound < math.inf):
-                raise ValueError(
-                    "rho must be nonnegative, with (1 + 2 rho) sqrt(n) at most half "
-                    f"the largest float, got {self.rho}"
-                )
+            _check_banded(self.n, self.p, self.rho)
         else:
             if not 0.0 <= self.rho < 1.0:
                 raise ValueError("the ar1 scheme needs rho in [0, 1)")
@@ -128,12 +121,25 @@ class MetricReport:
     failures: int = 0
 
 
+def _check_banded(n: int, p: int, rho: float) -> None:
+    """The banded scheme's rule: p >= 3 and a rho >= 0 whose entry bound
+    (1 + 2 rho) sqrt(n) is at most half the largest float, so the design is
+    finite (see SimConfig).  NaN fails it."""
+    if p < 3:
+        raise ValueError("the banded scheme needs p >= 3")
+    entry_bound = (1.0 + 2.0 * rho) * math.sqrt(n)
+    if not (rho >= 0.0 and 2.0 * entry_bound < math.inf):
+        raise ValueError(
+            "rho must be nonnegative, with (1 + 2 rho) sqrt(n) at most half "
+            f"the largest float, got {rho}"
+        )
+
+
 def gen_design_banded(
     n: int, p: int, rho: float, seed: int | np.random.Generator
 ) -> np.ndarray:
     """Column-normalized Gaussian design with neighbor mixing (see module doc)."""
-    if p < 3:
-        raise ValueError("banded design needs p >= 3")
+    _check_banded(n, p, rho)
     rng = as_rng(seed)
     base = rng.standard_normal((n, p))
     norms = np.linalg.norm(base, axis=0)

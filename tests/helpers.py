@@ -2,10 +2,10 @@
 scans for the tests that pin how often a design is checked, and the reference
 implementations that library code is compared against: the exhaustive
 best-subset search and the finite-difference gradient, the GSDAR map
-stepped one iterate at a time, the per-token LIBSVM reader, the AR(1)
-design recursion over separate draws, and the Newton-system solve through
-scipy.linalg.solve.  None of them is fast; each is simple enough to audit
-by eye.
+stepped one iterate at a time, the per-token LIBSVM reader, the per-entry
+LIBSVM writer, the AR(1) design recursion over separate draws, and the
+Newton-system solve through scipy.linalg.solve.  None of them is fast; each
+is simple enough to audit by eye.
 
 All randomness flows through keyed Philox streams, so every instance is a
 pure function of its seed: stream 0 feeds the design, 1 the coefficients,
@@ -267,3 +267,21 @@ def read_libsvm_per_token(path: str, n_features: int | None = None) -> Dataset:
         for idx, val in feats:
             X[i, idx - 1] = val
     return Dataset(X, np.asarray(labels, dtype=float))
+
+
+def write_libsvm_per_entry(data: Dataset, path: str) -> None:
+    """The per-entry LIBSVM writer that the bulk write_libsvm replaced, kept
+    verbatim as the byte reference it is compared against: one repr a
+    nonzero value.
+
+    Write in LIBSVM text form; zeros are omitted, values round-trip exactly.
+    """
+    flat = np.flatnonzero(data.X != 0.0)  # several times faster than np.nonzero(data.X)
+    rows, cols = np.divmod(flat, data.p)
+    tokens = list(map("{}:{!r}".format, (cols + 1).tolist(), data.X.ravel()[flat].tolist()))
+    ends = np.cumsum(np.bincount(rows, minlength=data.n)).tolist()
+    start = 0
+    with open(path, "w", encoding="ascii") as fh:
+        for label, end in zip(data.y.tolist(), ends):
+            fh.write(" ".join([repr(label), *tokens[start:end]]) + "\n")
+            start = end

@@ -932,3 +932,25 @@ def test_no_argv_escapes_as_a_traceback(tmp_path, capsys, data):
     assert code in (0, 1, 2)
     assert err == "" or (err.count("\n") == 1 and err.endswith("\n")
                          and err.startswith(("error: ", "solver error: ")))
+
+
+CELL_FLOATS = ["inf", "-inf", "nan", "1e308", "-0.0", "0.0", "1.0", "5e-324"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_cell_float_escapes_as_a_traceback(capsys, data):
+    # a cell that can be drawn, with only --R and --rho drawn from floats at
+    # the edges, reaches the cell rules each time; each ends in exit 0, 1 or
+    # 2 with stderr empty or one error line
+    command = data.draw(st.sampled_from([
+        ["simulate", "--scheme", "ar1"], ["simulate", "--scheme", "banded"], ["bench-iters"]]))
+    argv = [*command, "--n", "8", "--p", "4", "--K", "1", "--reps", "1"]
+    for flag in ("--R", "--rho"):
+        if data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(st.sampled_from(CELL_FLOATS))}")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert err == "" or (err.count("\n") == 1 and err.endswith("\n")
+                         and err.startswith(("error: ", "solver error: ")))

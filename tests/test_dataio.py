@@ -15,7 +15,8 @@ from sdar_glm import dataio
 from sdar_glm.dataio import pad_features
 from sdar_glm.rng import make_rng
 
-from helpers import read_libsvm_per_token
+from helpers import read_libsvm_per_token, write_libsvm_per_entry
+from test_golden import _libsvm_text
 
 
 def parse(tmp_path, text, **kwargs):
@@ -472,9 +473,136 @@ def test_write_then_read_round_trips_exactly(tmp_path):
 
 def test_write_omits_zero_entries(tmp_path):
     path = tmp_path / "sparse.txt"
-    sg.write_libsvm(sg.Dataset(np.array([[1.5, 0.0, 2.0]]), np.array([1.0])), str(path))
+    sg.write_libsvm(sg.Dataset(np.array([[1.5, 0.0, 2.0, -0.0]]), np.array([1.0])), str(path))
     text = path.read_text(encoding="ascii")
-    assert text == "1.0 1:1.5 3:2.0\n"
+    assert text == "1.0 1:1.5 3:2.0\n"  # -0.0 is a zero too
+
+
+def test_write_keeps_trailing_zero_columns_only_through_n_features(tmp_path):
+    X = np.array([[0.5, 0.0, 0.0], [0.0, -2.25, 0.0]])
+    path = tmp_path / "narrow.txt"
+    sg.write_libsvm(sg.Dataset(X, np.array([1.0, -1.0])), str(path))
+    assert sg.read_libsvm(str(path)).p == 2  # the zero last column left no index
+    back = sg.read_libsvm(str(path), n_features=3)
+    assert back.X.tobytes() == X.tobytes()
+
+
+def test_write_of_no_rows_is_an_empty_file_that_read_rejects(tmp_path):
+    path = tmp_path / "empty.txt"
+    sg.write_libsvm(sg.Dataset(np.zeros((0, 3)), np.zeros(0)), str(path))
+    assert path.read_bytes() == b""
+    with pytest.raises(sg.LibsvmParseError, match="no data lines"):
+        sg.read_libsvm(str(path))
+
+
+def _neighbours(v):
+    return [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
+
+
+# values at the edges of the canonical range, with their float neighbours
+EDGE_VALUES = [
+    w for v in (1e-4, 1e15, 1e16, 999999999999999.0, 1000000000000001.0, 5e-324)
+    for w in _neighbours(v)
+] + [np.nextafter(np.finfo(float).max, 0.0), np.finfo(float).max]
+
+
+@st.composite
+def short_decimals(draw):
+    """m / 10**f for m < 10**15 and f <= 18, the correctly rounded value of
+    a decimal of at most 15 significant digits, either sign."""
+    m = draw(st.integers(0, 10**draw(st.integers(1, 15)) - 1))
+    return draw(st.sampled_from([1.0, -1.0])) * m / 10.0 ** draw(st.integers(0, 18))
+
+
+WRITE_VALUES = st.one_of(
+    st.just(0.0),
+    short_decimals(),
+    st.integers(-(10**17), 10**17).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_VALUES).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+@st.composite
+def writable_datasets(draw):
+    """A Dataset of WRITE_VALUES, some rows all zero, n from 0 to 6."""
+    n, p = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    X = np.array(draw(st.lists(WRITE_VALUES, min_size=n * p, max_size=n * p)), float).reshape(n, p)
+    X[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    y = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
+    return sg.Dataset(X, np.array(y, float))
+
+
+def written_bytes(write, data, path):
+    write(data, str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=writable_datasets(),
+    scan_entries=st.sampled_from([1, 3, dataio._SCAN_ENTRIES]),
+    chunk_nonzeros=st.sampled_from([1, 4, dataio._CHUNK_NONZEROS]),
+)
+def test_write_matches_the_per_entry_writer(tmp_path, monkeypatch, data, scan_entries, chunk_nonzeros):
+    # small scan blocks and chunks put chunk boundaries between rows, empty rows included
+    monkeypatch.setattr(dataio, "_SCAN_ENTRIES", scan_entries)
+    monkeypatch.setattr(dataio, "_CHUNK_NONZEROS", chunk_nonzeros)
+    assert written_bytes(sg.write_libsvm, data, tmp_path / "bulk.txt") == written_bytes(
+        write_libsvm_per_entry, data, tmp_path / "reference.txt"
+    )
+
+
+def count_repr_values(monkeypatch) -> list:
+    """Patch dataio._spell_with_repr to record how many values each call spells."""
+    counted = []
+    spell = dataio._spell_with_repr
+
+    def counting(values):
+        counted.append(values.size)
+        return spell(values)
+
+    monkeypatch.setattr(dataio, "_spell_with_repr", counting)
+    return counted
+
+
+def sparse_three_decimal_design(seed, n, p, density):
+    rng = make_rng(seed)
+    X = np.round(rng.standard_normal((n, p)), 3)
+    X[(rng.random((n, p)) >= density) | (X == 0.0)] = 0.0
+    return sg.Dataset(X, np.where(rng.random(n) < 0.5, 1.0, -1.0))
+
+
+def test_short_decimals_are_written_without_repr(tmp_path, monkeypatch):
+    (tmp_path / "golden.txt").write_bytes(_libsvm_text().encode("ascii"))
+    golden = sg.read_libsvm(str(tmp_path / "golden.txt"))  # 150 x 40, 4-decimal values
+    sparse = sparse_three_decimal_design(41, 300, 400, 0.01)
+    assert np.count_nonzero(sparse.X) > 1000
+    counted = count_repr_values(monkeypatch)
+    for name, data in [("golden", golden), ("sparse", sparse)]:
+        assert written_bytes(sg.write_libsvm, data, tmp_path / f"{name}.txt") == written_bytes(
+            write_libsvm_per_entry, data, tmp_path / f"{name}-reference.txt"
+        )
+    assert counted == []
+
+
+def significant_digits(v: float) -> int:
+    """The significant digits of repr(v), trailing zeros not counted."""
+    mantissa = repr(abs(v)).split("e")[0]
+    return len(mantissa.replace(".", "").strip("0"))
+
+
+def test_full_precision_values_are_written_by_repr(tmp_path, monkeypatch):
+    # a double drawn at full precision mostly needs 16 or 17 digits; the
+    # few whose repr has at most 15 are short decimals, spelled exactly
+    data, _, _ = sg.generate_instance(sg.SimConfig(n=60, p=40, k=3, rho=0.5), seed=5)
+    values = data.X.ravel().tolist()
+    needs_repr = sum(not (1e-4 <= abs(v) < 1e15 and significant_digits(v) <= 15) for v in values)
+    counted = count_repr_values(monkeypatch)
+    assert written_bytes(sg.write_libsvm, data, tmp_path / "full.txt") == written_bytes(
+        write_libsvm_per_entry, data, tmp_path / "reference.txt"
+    )
+    assert sum(counted) == needs_repr > 0.9 * len(values)
 
 
 # --- map_labels_to_binary ----------------------------------------------------

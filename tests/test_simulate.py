@@ -209,6 +209,15 @@ def test_design_validation():
         sg.gen_design_ar1(10, 4, 1.0, 0)
 
 
+@pytest.mark.parametrize("rho", [math.inf, math.nan, -1.0, -0.1, 1e308])
+def test_banded_generator_refuses_the_rho_that_simconfig_refuses(rho):
+    # one rule for both: a direct call gets no non-finite design
+    with pytest.raises(ValueError, match="^rho must be nonnegative"):
+        sg.SimConfig(n=10, p=4, k=1, rho=rho)
+    with pytest.raises(ValueError, match="^rho must be nonnegative"):
+        sg.gen_design_banded(10, 4, rho, 0)
+
+
 # --- coefficients and responses ----------------------------------------------
 
 def test_gen_coefficients_zero_k_is_the_null_vector():
