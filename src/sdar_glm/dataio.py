@@ -45,13 +45,16 @@ reader's arithmetic run backwards where it can.  Let f <= 18 be the most
 places that keep m = rint(|v| * 10**f) below 10**15.  When 1e-4 <= |v| and
 m / 10**f == |v|, exactly one decimal of at most 15 significant digits
 rounds to v, m * 10**-f, and repr(v) spells it without an exponent; the
-writer spells it from the integers m and f: the integer part with no
-leading zeros, the point, and the fraction with no trailing zeros (`.0` for
-a whole number).  Every other value, and every label, is spelled by repr,
-so every nonzero value reads back with its bits.  X is scanned for nonzeros
-a block of rows at a time, and each chunk of rows becomes one fixed-width
-bytes array with an item per label and per ` index:value` token, in file
-order, padded with NUL bytes that are dropped on output.
+writer spells it from the integers m and f: the sign, the integer part with
+no leading zeros, the point, and the fraction with no trailing zeros (`.0`
+for a whole number).  Every other value is its sign and the repr of |v|,
+and every label is its repr, so every nonzero value reads back with its
+bits.  X is scanned for nonzeros a block of rows at a time, and each chunk
+of rows becomes one fixed-width bytes array with an item per label and per
+` index:value` token, in file order, padded with NUL bytes that are dropped
+on output.  No path of the library or the CLI writes LIBSVM; the writer
+serves callers of the API, and the benchmark writes its ingest input with
+it.
 """
 
 from __future__ import annotations
@@ -484,19 +487,19 @@ def _tokens(cols: np.ndarray, values: np.ndarray, p: int, min_width: int) -> np.
     of p columns, as items of one structured array, NUL-padded to at least
     min_width bytes.
 
-    A canonical value (_decimal_form) is spelled from exact integers: its
-    sign, its integer part with leading zeros NUL, the point, and its
-    fraction digits with trailing zeros NUL (a lone 0 for a whole number).
-    Every other value is spelled by _spell_with_repr.
+    Every token spells the sign of its value.  A canonical magnitude
+    (_decimal_form) is spelled from exact integers: its integer part with
+    leading zeros NUL, the point, and its fraction digits with trailing zeros
+    NUL (a lone 0 for a whole number).  Every other magnitude is spelled by
+    _spell_with_repr, since repr(-a) is '-' + repr(a).
     """
     magnitude = np.abs(values)
     places, digits, canonical = _decimal_form(magnitude)
-    exact = slice(None) if canonical.all() else np.flatnonzero(canonical)
+    exact = np.flatnonzero(canonical)
     rest = np.flatnonzero(~canonical)
-    any_exact = rest.size < values.size
-    index_width = len(str(p))
-    fields = [("index", f"V{index_width + 2}")]
-    if any_exact:
+    index_words = -(-len(str(p)) // 4)
+    fields = [("space", "u1"), ("index", f"({index_words},)u4"), ("colon", "u1"), ("sign", "u1")]
+    if exact.size:
         # the decimal is whole + part / 10**places, with part below 10**places;
         # part scaled to 18 places is an exact int64, its digits left-aligned
         whole = np.floor(magnitude[exact]).astype(np.int64)
@@ -506,23 +509,21 @@ def _tokens(cols: np.ndarray, values: np.ndarray, p: int, min_width: int) -> np.
         zeros = _shared_zeros(part)
         part //= _POW10_INT[zeros]
         whole_words, part_words = -(-len(str(whole.max())) // 4), -(-(18 - zeros) // 4)
-        fields += [("sign", "u1"), ("whole", f"({whole_words},)u4"), ("point", "u1"),
-                   ("part", f"({part_words},)u4")]
+        fields += [("whole", f"({whole_words},)u4"), ("point", "u1"), ("part", f"({part_words},)u4")]
     if rest.size:
-        spelled = _spell_with_repr(values[rest])
+        spelled = _spell_with_repr(magnitude[rest])
         fields.append(("repr", spelled.dtype))
     padding = min_width - np.dtype(fields).itemsize
     if padding > 0:
         fields.append(("padding", f"V{padding}"))
     tokens = np.zeros(values.size, fields)
-    if p <= values.size:  # no more columns than tokens: spell each column once
-        tokens["index"] = _index_prefixes(np.arange(1, p + 1), index_width)[cols]
-    else:
-        tokens["index"] = _index_prefixes(cols + 1, index_width)
-    if any_exact:
-        tokens["sign"][exact] = np.uint8(45) * (values[exact] < 0.0)
+    tokens["space"] = 32
+    tokens["index"] = _leading_words(cols + 1, index_words)
+    tokens["colon"] = 58
+    tokens["sign"] = np.uint8(45) * (values < 0.0)
+    if exact.size:
         tokens["whole"][exact] = _leading_words(whole, whole_words)
-        tokens["point"][exact] = 46
+        tokens["point"] = np.uint8(46) * canonical
         tokens["part"][exact] = _trailing_words(part, part_words, 4 * part_words - 18 + zeros)
     if rest.size:
         tokens["repr"][rest] = spelled
@@ -568,7 +569,7 @@ def _shared_zeros(part: np.ndarray) -> int:
     """The most trailing decimal zeros, at most 17, that every part has."""
     for zeros in range(17, 0, -1):
         unit = _POW10_INT[zeros]
-        if not (np.any(part[:64] % unit) or np.any(part % unit)):  # most misses show early
+        if not np.any(part % unit):
             return zeros
     return 0
 
@@ -617,17 +618,6 @@ def _trailing_words(x: np.ndarray, count: int, pad: int) -> np.ndarray:
         right_zero &= quad == 0
         x = left
     return words
-
-
-def _index_prefixes(index: np.ndarray, width: int) -> np.ndarray:
-    """' index:' for each index (1 <= index < 10**width), NUL-padded to
-    width + 2 bytes, as one void item each."""
-    count = -(-width // 4)
-    spelled = np.zeros((index.size, width + 2), np.uint8)
-    spelled[:, 0] = 32
-    spelled[:, 1:-1] = _leading_words(index, count).view(np.uint8)[:, 4 * count - width :]
-    spelled[:, -1] = 58
-    return spelled.view(f"V{width + 2}").ravel()
 
 
 def map_labels_to_binary(y: np.ndarray) -> np.ndarray:
