@@ -29,7 +29,7 @@ from .dataio import (
     standardize_columns,
     train_test_split,
 )
-from .families import Dataset, NumericOverflowError, get_family
+from .families import Dataset, get_family
 from .path import AgsdarConfig, agsdar_fit
 from .simulate import (
     SCHEME_AR1,
@@ -38,7 +38,7 @@ from .simulate import (
     fit_accuracy,
     run_replications,
 )
-from .solver import SdarConfig, SingularSystemError, gsdar_fit
+from .solver import FIT_FAILURES, SdarConfig, gsdar_fit
 
 SCHEMA_LINE = "# sdar-glm v1"
 # the most values a START:STEP:STOP sweep may hold; its length is computed
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:  # LIBSVM and label errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SingularSystemError, NumericOverflowError) as exc:
+    except FIT_FAILURES as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 

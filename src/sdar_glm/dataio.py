@@ -12,11 +12,13 @@ into tokens, whose bounds come from the positions of those bytes; the first
 token of each line is its label, and each other token must hold exactly one
 colon with both sides nonempty.  Labels, indices and values are converted
 in classes of similar width, so that one long token does not widen the rest.
-Canonical spellings, [+-]?digits[.digits] with at most 15 digits for labels
-and values and at most 18 digits for indices, are read with exact integer
-arithmetic in numpy: the digits form an integer below 2**53, and one
-division by a power of ten gives the correctly rounded double that Python's
-float() returns.  Every other field is gathered into a fixed-width bytes
+Both directions share one rule for exact decimals: [+-]?digits[.digits]
+with at most 15 significant digits (leading zeros do not count) and at most
+18 digits after the point.  Labels and values spelled so, and indices of at
+most 18 digits, are canonical and are read with exact integer arithmetic in
+numpy: the digits form an integer below 10**15 < 2**53, and one division by
+a power of ten gives the correctly rounded double that Python's float()
+returns.  Every other field is gathered into a fixed-width bytes
 array that numpy casts to float64 or int64 with Python's own float and int,
 so spellings such as `+2`, `1_0`, `nan` and `1e999` read, or fail, as they
 do in Python.  A byte above 127 anywhere, or
@@ -43,18 +45,18 @@ file of one piece is read on the calling thread and starts none.
 write_libsvm writes the bytes that one repr per nonzero value would, by the
 reader's arithmetic run backwards where it can.  Let f <= 18 be the most
 places that keep m = rint(|v| * 10**f) below 10**15.  When 1e-4 <= |v| and
-m / 10**f == |v|, exactly one decimal of at most 15 significant digits
-rounds to v, m * 10**-f, and repr(v) spells it without an exponent; the
-writer spells it from the integers m and f: the sign, the integer part with
-no leading zeros, the point, and the fraction with no trailing zeros (`.0`
-for a whole number).  Every other value is its sign and the repr of |v|,
-and every label is its repr, so every nonzero value reads back with its
-bits.  X is scanned for nonzeros a block of rows at a time, and each chunk
-of rows becomes one fixed-width bytes array with an item per label and per
-` index:value` token, in file order, padded with NUL bytes that are dropped
-on output.  No path of the library or the CLI writes LIBSVM; the writer
-serves callers of the API, and the benchmark writes its ingest input with
-it.
+m / 10**f == |v|, exactly one exact decimal rounds to v, m * 10**-f, and
+repr(v) spells it without an exponent; the writer spells it from the
+integers m and f, one decimal digit per numpy pass: the sign, the integer
+part with no leading zeros, the point, and the fraction with no trailing
+zeros (`.0` for a whole number).  Every other value is its sign and the
+repr of |v|, and every label is its repr, so every nonzero value reads back
+with its bits.  X is scanned for nonzeros a block of rows at a time, and
+each chunk of rows becomes one fixed-width bytes array with an item per
+label and per ` index:value` token, in file order, padded with NUL bytes
+that are dropped on output.  No path of the library or the CLI writes
+LIBSVM; the writer serves callers of the API, and the benchmark writes its
+ingest input with it.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ def _convert(window: np.ndarray, starts: np.ndarray, stops: np.ndarray, dtype) -
 
     Fields are read in classes of similar width: those up to 8 bytes long,
     then lengths (2**(k-1), 2**k] for k > 3.  In a class no wider than a
-    canonical spelling (17 bytes for a float, 18 for an int),
+    canonical spelling (21 bytes for a float, 18 for an int),
     _read_canonical reads the canonical fields exactly; every other field is
     cast by _cast_with_python.  So a gather never takes more than 8 bytes a
     field, or twice the field's bytes.
@@ -290,25 +292,27 @@ def _width_classes(lens: np.ndarray) -> list:
     return [np.flatnonzero(width_class == k) for k in np.flatnonzero(counts)]
 
 
-# the widest canonical spellings: a sign, 15 digits and a dot; 18 digits
-_CANONICAL_WIDTH = {np.float64: 17, np.int64: 18}
-# 10**f for f = 0..17, each an exact double, then their negatives
-_DIVISORS = np.array([float(10**f) for f in range(18)] + [-float(10**f) for f in range(18)])
+# the widest canonical spellings the writer makes: a sign, 0, a dot and 18
+# places; 18 digits
+_CANONICAL_WIDTH = {np.float64: 21, np.int64: 18}
+# 10**f for f = 0..18, each an exact double, then their negatives
+_DIVISORS = np.array([float(10**f) for f in range(19)] + [-float(10**f) for f in range(19)])
 
 
 def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dtype):
     """The values of the fields window[starts:starts+lens], and which of
     them are canonical and so exact.  The fields are nonempty, hold no NUL
-    (the tokenizer rejects control bytes) and are at most 17 (float) or 18
+    (the tokenizer rejects control bytes) and are at most 21 (float) or 18
     (int) bytes long.
 
-    A canonical float is [+-]?digits[.digits] with 1 to 15 digits, and a
-    canonical int is 1 to 18 digits.  The digits, dot left out, form an
-    integer m below 10**15 < 2**53 (10**18 < 2**63 for an int), so m and
-    10**f, f the digits after the dot, are exact doubles, and m / 10**f is
-    one correctly rounded division: the bits of Python's correctly rounded
-    float() (Clinger's fast path).  A leading '-' divides by -10**f, which
-    gives -0.0 for '-0' as float() does.  The values of fields that are not
+    A canonical float is [+-]?digits[.digits] with at least one digit, at
+    most 15 significant ones and at most 18 after the dot, and a canonical
+    int is 1 to 18 digits.  The digits, dot left out, form an integer m
+    below 10**15 < 2**53 (10**18 < 2**63 for an int), so m and 10**f, f the
+    digits after the dot, are exact doubles, and m / 10**f is one correctly
+    rounded division: the bits of Python's correctly rounded float()
+    (Clinger's fast path).  A leading '-' divides by -10**f, which gives
+    -0.0 for '-0' as float() does.  The values of fields that are not
     canonical are left unspecified.
 
     The fields are read one byte column at a time, bytes past a field's end
@@ -319,7 +323,9 @@ def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dt
     n, width = lens.size, int(lens.max())
     lens = lens.astype(np.uint8)
     least = int(lens.min())
-    m = np.zeros(n, np.int32 if width <= 9 else np.int64)  # 9 digits < 2**31
+    # 9 digits < 2**31 and 18 < 2**63; a wider field could wrap an int64,
+    # but a double, once at or past 10**15, never falls below it again
+    m = np.zeros(n, np.int32 if width <= 9 else np.int64 if width <= 18 else np.float64)
     digits = np.zeros(n, np.uint8)
     dots = np.zeros(n, np.uint8)
     frac = np.zeros(n, np.uint8)
@@ -346,9 +352,9 @@ def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dt
         m += d
     if not real:
         return m.astype(np.int64), ~junk
-    canonical = ~junk & (dots <= 1) & (digits >= 1) & (digits <= 15)
-    frac += np.uint8(18) * neg
-    return m / np.take(_DIVISORS, frac), canonical
+    canonical = ~junk & (dots <= 1) & (digits >= 1) & (m < 10**15) & (frac <= 18)
+    frac += np.uint8(19) * neg
+    return m / np.take(_DIVISORS, frac, mode="clip"), canonical
 
 
 def _cast_with_python(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dtype) -> np.ndarray:
@@ -487,18 +493,19 @@ def _tokens(cols: np.ndarray, values: np.ndarray, p: int, min_width: int) -> np.
     of p columns, as items of one structured array, NUL-padded to at least
     min_width bytes.
 
-    Every token spells the sign of its value.  A canonical magnitude
-    (_decimal_form) is spelled from exact integers: its integer part with
-    leading zeros NUL, the point, and its fraction digits with trailing zeros
-    NUL (a lone 0 for a whole number).  Every other magnitude is spelled by
-    _spell_with_repr, since repr(-a) is '-' + repr(a).
+    Every token spells the sign of its value.  The index and a canonical
+    magnitude (_decimal_form) are spelled digit by digit from exact integers
+    by _spell: the index and the integer part with leading zeros NUL, the
+    point, and the fraction with trailing zeros NUL (a lone 0 for a whole
+    number).  Every other magnitude is spelled by _spell_with_repr, since
+    repr(-a) is '-' + repr(a).
     """
     magnitude = np.abs(values)
     places, digits, canonical = _decimal_form(magnitude)
     exact = np.flatnonzero(canonical)
     rest = np.flatnonzero(~canonical)
-    index_words = -(-len(str(p)) // 4)
-    fields = [("space", "u1"), ("index", f"({index_words},)u4"), ("colon", "u1"), ("sign", "u1")]
+    index_digits = len(str(p))
+    fields = [("space", "u1"), ("index", f"({index_digits},)u1"), ("colon", "u1"), ("sign", "u1")]
     if exact.size:
         # the decimal is whole + part / 10**places, with part below 10**places;
         # part scaled to 18 places is an exact int64, its digits left-aligned
@@ -508,8 +515,8 @@ def _tokens(cols: np.ndarray, values: np.ndarray, p: int, min_width: int) -> np.
         part *= _POW10_INT[18 - places]
         zeros = _shared_zeros(part)
         part //= _POW10_INT[zeros]
-        whole_words, part_words = -(-len(str(whole.max())) // 4), -(-(18 - zeros) // 4)
-        fields += [("whole", f"({whole_words},)u4"), ("point", "u1"), ("part", f"({part_words},)u4")]
+        whole_digits, part_digits = len(str(whole.max())), 18 - zeros
+        fields += [("whole", f"({whole_digits},)u1"), ("point", "u1"), ("part", f"({part_digits},)u1")]
     if rest.size:
         spelled = _spell_with_repr(magnitude[rest])
         fields.append(("repr", spelled.dtype))
@@ -518,13 +525,13 @@ def _tokens(cols: np.ndarray, values: np.ndarray, p: int, min_width: int) -> np.
         fields.append(("padding", f"V{padding}"))
     tokens = np.zeros(values.size, fields)
     tokens["space"] = 32
-    tokens["index"] = _leading_words(cols + 1, index_words)
+    tokens["index"] = _spell(cols + 1, index_digits, leading=True)
     tokens["colon"] = 58
     tokens["sign"] = np.uint8(45) * (values < 0.0)
     if exact.size:
-        tokens["whole"][exact] = _leading_words(whole, whole_words)
+        tokens["whole"][exact] = _spell(whole, whole_digits, leading=True)
         tokens["point"] = np.uint8(46) * canonical
-        tokens["part"][exact] = _trailing_words(part, part_words, 4 * part_words - 18 + zeros)
+        tokens["part"][exact] = _spell(part, part_digits, leading=False)
     if rest.size:
         tokens["repr"][rest] = spelled
     return tokens
@@ -574,50 +581,24 @@ def _shared_zeros(part: np.ndarray) -> int:
     return 0
 
 
-def _word_table(spell) -> np.ndarray:
-    """The four bytes spell(k) of each k = 0..9999 as one uint32 word."""
-    return np.frombuffer(b"".join(map(spell, range(10000))), np.uint32)
-
-
-# ASCII words of four digits, indexed by the digits' value plus 10000 when no
-# nonzero digit lies beyond them: to the left, whose zeros are then NUL, or to
-# the right, whose trailing zeros are then NUL.  The rightmost word of a
-# number keeps its one 0 when the number is 0.
-_DIGITS = _word_table(lambda k: b"%04d" % k)
-_LEADING_LAST = np.concatenate([_DIGITS, _word_table(lambda k: (b"%d" % k).rjust(4, b"\0"))])
-_LEADING = _LEADING_LAST.copy()
-_LEADING[10000] = 0
-_TRAILING = np.concatenate([_DIGITS, _word_table(lambda k: (b"%04d" % k).rstrip(b"0").ljust(4, b"\0"))])
-
-
-def _leading_words(x: np.ndarray, count: int) -> np.ndarray:
-    """The digits of each x (0 <= x < 10**(4 * count)) right-aligned in
-    `count` words, leading zeros NUL and 0 spelled 0."""
-    words = np.empty((x.size, count), np.uint32)
-    table = _LEADING_LAST
+def _spell(x: np.ndarray, count: int, leading: bool) -> np.ndarray:
+    """The `count` decimal digits of each x (0 <= x < 10**count) as ASCII
+    bytes, a row each, spelled right to left one column per pass: NUL for
+    each leading zero (a 0 with only zeros left of it) when `leading`, else
+    for each trailing zero (a 0 with only zeros right of it), and a lone 0
+    for 0, in the last column or the first."""
+    spelled = np.empty((x.size, count), np.uint8)
+    x = x.astype(np.uint32 if count <= 9 else np.uint64)  # divides faster than int64
+    shown = np.zeros(x.size, bool)  # trailing: a nonzero digit lies in column k or right of it
+    edge = count - 1 if leading else 0  # the column of the lone 0
     for k in range(count - 1, -1, -1):
-        left = x // 10000
-        words[:, k] = table[x - left * 10000 + 10000 * (left == 0)]
-        table, x = _LEADING, left
-    return words
-
-
-def _trailing_words(x: np.ndarray, count: int, pad: int) -> np.ndarray:
-    """The 4 * count - pad digits of each x, zero-padded on the left, after
-    `pad` NUL bytes in `count` words, trailing zeros NUL and 0 spelled 0."""
-    words = np.empty((x.size, count), np.uint32)
-    first = _TRAILING.view(np.uint8).reshape(-1, 4).copy()
-    first[:, :pad] = 0
-    first[10000, pad] = 48  # the lone 0 of x == 0
-    right_zero = np.ones(x.size, bool)
-    for k in range(count - 1, -1, -1):
-        left = x // 10000
-        quad = x - left * 10000
-        table = first.view(np.uint32).ravel() if k == 0 else _TRAILING
-        words[:, k] = table[quad + 10000 * right_zero]
-        right_zero &= quad == 0
-        x = left
-    return words
+        if leading:
+            shown = x > 0  # a nonzero digit lies in column k or to its left
+        x, digit = np.divmod(x, 10)
+        if not leading:
+            shown |= digit > 0
+        spelled[:, k] = digit + 48 if k == edge else (digit + 48) * shown
+    return spelled
 
 
 def map_labels_to_binary(y: np.ndarray) -> np.ndarray:

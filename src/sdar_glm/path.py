@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import Dataset, GlmFamily, NumericOverflowError, negative_log_likelihood
-from .solver import FitResult, SdarConfig, SingularSystemError, Termination, gsdar_fit
+from .families import Dataset, GlmFamily, negative_log_likelihood
+from .solver import FIT_FAILURES, FitResult, SdarConfig, Termination, gsdar_fit
 
 __all__ = ["AgsdarConfig", "PathPoint", "PathResult", "hbic", "agsdar_fit"]
 
@@ -146,7 +146,7 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
         try:
             fit = gsdar_fit(family, data, inner, beta0=start.beta_hat, intercept0=start.intercept,
                             _dual0=start.dual)
-        except (SingularSystemError, NumericOverflowError) as exc:
+        except FIT_FAILURES as exc:
             failures.append((t, str(exc)))
             t += cfg.increment_theta
             continue

@@ -31,10 +31,10 @@ import numpy as np
 from scipy.special import expit
 
 from .dataio import train_test_split
-from .families import Dataset, LOGISTIC, NumericOverflowError, linear_predictor
+from .families import Dataset, LOGISTIC, linear_predictor
 from .path import AgsdarConfig, agsdar_fit
 from .rng import as_rng, make_rng
-from .solver import FitResult, SdarConfig, SingularSystemError, gsdar_fit
+from .solver import FIT_FAILURES, FitResult, SdarConfig, gsdar_fit
 
 __all__ = [
     "SCHEME_BANDED",
@@ -313,7 +313,7 @@ def run_replications(
                 fit = agsdar_fit(LOGISTIC, train, solver).selected_fit
             else:
                 fit = gsdar_fit(LOGISTIC, train, solver)
-        except (SingularSystemError, NumericOverflowError):
+        except FIT_FAILURES:
             failures += 1
             continue
         score_on = test if (test is not None and test.n > 0) else train

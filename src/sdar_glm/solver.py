@@ -41,6 +41,7 @@ from scipy import linalg as sla
 from .families import (
     Dataset,
     GlmFamily,
+    NumericOverflowError,
     gradient,
     gradient_at_theta,
     negative_log_likelihood,
@@ -69,6 +70,10 @@ class SingularSystemError(RuntimeError):
         super().__init__(
             f"restricted Hessian solve failed on active set {self.active.tolist()}"
         )
+
+
+# the errors with which a fit fails, which the path, replications and CLI report
+FIT_FAILURES = (SingularSystemError, NumericOverflowError)
 
 
 class Termination(enum.Enum):

@@ -206,7 +206,7 @@ def test_c06_true_discovery_rate(discovery_report):
 
 
 @pytest.mark.xfail(
-    strict=False,
+    strict=True,
     reason="path selection admits one or two spurious coordinates on "
     "near-separable draws; measured AFDR ~0.17-0.19 against the 0.12 gate",
 )
@@ -223,7 +223,7 @@ def test_c06_false_discovery_rate(discovery_report):
 # -- C7: held-out classification accuracy on the wide banded design -----------
 
 @pytest.mark.xfail(
-    strict=False,
+    strict=True,
     reason="support detection loses low-magnitude coordinates once the "
     "training fit saturates; measured mean accuracy ~0.84-0.86 against "
     "the 0.88 gate",

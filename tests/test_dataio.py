@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import sdar_glm as sg
 from sdar_glm import dataio
@@ -370,6 +370,11 @@ FLOAT_FIELDS = st.one_of(
         ".123456789012345", ".1234567890123456",  # 15 and 16 after the dot
         "9007199254740993", "0.1", "-999999999999999.9",
         "95.58291673297863",  # 16 digits: m / 10**f would round twice, and wrongly
+        "-0.000123456789012345",  # 15 significant digits, 18 places
+        "0.0001234567890123456", "0.0000123456789012345",  # 19 places
+        "0000000000000000001.5",  # leading zeros are not significant
+        "18446744073709551617", "-9223372036854775809",  # 2**64 + 1 and -(2**63 + 1) wrap in 64 bits
+        ".12345678901234567890", "-.1234567890123456789",
     ]),
     # spellings that only Python's float reads, or rejects
     st.sampled_from(["+7", "1_0", "1e5", "-2E+2", "nan", "-inf", "1e999",
@@ -551,6 +556,54 @@ def test_write_matches_the_per_entry_writer(tmp_path, monkeypatch, data, scan_en
     assert written_bytes(sg.write_libsvm, data, tmp_path / "bulk.txt") == written_bytes(
         write_libsvm_per_entry, data, tmp_path / "reference.txt"
     )
+
+
+@pytest.mark.parametrize("count", range(1, 19))
+def test_spell_gives_the_digits_of_str(count):
+    x = [v for v in (0, 1, 7, 10, 2**32 + 1, 10 ** (count - 1), 10**count - 1, 10**count // 7)
+         if v < 10**count]
+
+    def spell(leading):
+        return [row.tobytes().decode("ascii") for row in dataio._spell(np.array(x), count, leading)]
+
+    assert spell(True) == [str(v).rjust(count, "\0") for v in x]
+    assert spell(False) == [(str(v).zfill(count).rstrip("0") or "0").ljust(count, "\0") for v in x]
+
+
+def test_write_spells_indices_of_one_to_six_digits(tmp_path):
+    # indices across the step from 4 to 5 digits, integer parts of 1 to 15
+    # digits, and values at, just below and just above 1e-4
+    cols = [0, 8, 9, 9998, 9999, 99998, 99999]
+    wholes = [w + (0.5 if k < 15 else 0.0) for k in range(1, 16) for w in (10.0 ** (k - 1) + k, 10.0**k - k)]
+    small = [1e-4, np.nextafter(1e-4, np.inf), np.nextafter(1e-4, 0.0), 1.0000000000001e-4,
+             -1e-4, 0.000123456789012345, 0.000999]
+    X = np.zeros((len(wholes) + 1, 100000))
+    X[:-1, cols] = np.outer(wholes, [(-1.0) ** j for j in range(len(cols))])
+    X[-1, cols] = small
+    data = sg.Dataset(X, np.where(np.arange(X.shape[0]) % 2, 1.0, -1.0))
+    assert written_bytes(sg.write_libsvm, data, tmp_path / "wide.txt") == written_bytes(
+        write_libsvm_per_entry, data, tmp_path / "reference.txt"
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(short_decimals().filter(lambda v: v == 0.0 or abs(v) >= 1e-4), min_size=1, max_size=20))
+@example(values=[0.000123456789012])  # 16 digits written, 12 of them significant
+def test_written_short_decimals_read_back_without_the_python_cast(tmp_path, monkeypatch, values):
+    # the writer spells a value of at least 1e-4 with at most 15 significant
+    # digits and 18 places, which the reader reads on its exact path
+    X = np.array(values).reshape(-1, 1)
+    y = np.where(np.arange(X.shape[0]) % 2, 1.0, -1.0)
+    path = tmp_path / "short.txt"
+    sg.write_libsvm(sg.Dataset(X, y), str(path))
+
+    def python_cast(*args):
+        raise AssertionError("a written short decimal was cast by Python")
+
+    monkeypatch.setattr(dataio, "_cast_with_python", python_cast)
+    back = sg.read_libsvm(str(path), n_features=1)
+    assert back.X.tobytes() == (X + 0.0).tobytes()  # -0.0 is written as a zero
+    assert back.y.tobytes() == y.tobytes()
 
 
 def count_repr_values(monkeypatch) -> list:
