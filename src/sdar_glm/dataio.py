@@ -295,8 +295,11 @@ def _width_classes(lens: np.ndarray) -> list:
 # the widest canonical spellings the writer makes: a sign, 0, a dot and 18
 # places; 18 digits
 _CANONICAL_WIDTH = {np.float64: 21, np.int64: 18}
-# 10**f for f = 0..18, each an exact double, then their negatives
-_DIVISORS = np.array([float(10**f) for f in range(19)] + [-float(10**f) for f in range(19)])
+# 10**f for f = 0..18, each an exact double, and as int64; the reader
+# divides by _DIVISORS, the powers and then their negatives
+_POW10 = np.array([10.0**f for f in range(19)])
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+_DIVISORS = np.concatenate([_POW10, -_POW10])
 
 
 def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dtype):
@@ -541,11 +544,6 @@ def _spell_with_repr(values: np.ndarray) -> np.ndarray:
     """values spelled by Python's repr, as a bytes array as wide as the longest."""
     spelled = list(map(repr, values.tolist()))
     return np.array(spelled, f"S{max(map(len, spelled))}")
-
-
-# 10**f for f = 0..18, each an exact double, and as int64
-_POW10 = np.array([10.0**f for f in range(19)])
-_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _decimal_form(magnitude: np.ndarray) -> tuple[np.ndarray, ...]:

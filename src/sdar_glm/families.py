@@ -268,10 +268,9 @@ def gradient_at_theta(
 def weighted_gram(Xa: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """(1/n) Xa^T diag(w) Xa; with w = c''(theta), the Hessian of L on the columns Xa.
 
-    Built as M^T M with M = diag(sqrt(w)) Xa and symmetrized by averaging,
-    so the result is exactly symmetric and positive semidefinite.  The
-    restricted Newton step of the solver uses it.
+    Built as M^T M with M = diag(sqrt(w)) Xa, which numpy's ?syrk call makes
+    exactly symmetric (it copies one triangle into the other) and positive
+    semidefinite.  The restricted Newton step of the solver uses it.
     """
     M = Xa * np.sqrt(w)[:, None]
-    H = M.T @ M / n
-    return 0.5 * (H + H.T)
+    return M.T @ M / n

@@ -152,12 +152,11 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
             continue
         points.append(PathPoint(t, fit, hbic(fit, n, p)))
         best_hbic = min(best_hbic, points[-1].hbic)
-        change = float(np.max(np.abs(fit.beta_hat - prev_fit.beta_hat)))
-        prev_fit = fit
         if cfg.nll_below is not None and fit.nll <= cfg.nll_below:
             break
-        if cfg.change_below is not None and change <= cfg.change_below:
+        if cfg.change_below is not None and abs(fit.beta_hat - prev_fit.beta_hat).max() <= cfg.change_below:
             break
+        prev_fit = fit
         t += cfg.increment_theta
 
     best = min(points, key=lambda pt: (pt.hbic, pt.t))

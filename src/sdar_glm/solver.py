@@ -89,8 +89,9 @@ class SdarConfig:
     sparsity_t is the active-set cardinality T.  step_size_tau in (0, 1]
     scales the dual before support detection; 1 is the plain rule, smaller
     values damp the screening on badly conditioned designs.  The class
-    constant coef_cap bounds logistic coefficients componentwise so that
-    separable data cannot drive the restricted solve to infinity.
+    constant coef_cap bounds logistic coefficients componentwise, and the
+    intercept with them, so that separable data cannot drive the restricted
+    solve to infinity; such a fit can stop with its intercept at +-coef_cap.
     """
 
     sparsity_t: int
@@ -294,7 +295,9 @@ def kkt_residual(family: GlmFamily, data: Dataset, fit: FitResult, t: int) -> fl
     """Stationarity certificate for a fit on `data` (0 means exact fixed point).
 
     Costs one pass over X; the intercept enters the linear predictor as an
-    offset, so X is not copied.
+    offset, so X is not copied.  The solver does not call it; it stays public
+    because the benchmark's fit-wide check (bench/workloads.py,
+    FitWide._check_fit) compares every fit's kkt_residual with it.
     """
     beta = np.asarray(fit.beta_hat, dtype=float)
     return _certificate(beta, -gradient(family, data, beta, fit.intercept), t)
@@ -348,7 +351,7 @@ def gsdar_fit(
     dual = -gradient(family, data, beta, intercept) if _dual0 is None else _dual0
     active = np.empty(0, dtype=int)
 
-    visited: set[frozenset] = set()
+    visited: set[bytes] = set()  # top_t_support is sorted, so the bytes name the set
     chosen, chosen_nll = None, np.inf
     termination = Termination.MAX_ITERS
     for _ in range(cfg.max_outer_iters):
@@ -359,7 +362,7 @@ def gsdar_fit(
             termination = Termination.SUPPORT_STATIONARY
             chosen, chosen_nll = (beta, intercept, active, dual), nll
             break
-        key = frozenset(support.tolist())
+        key = support.tobytes()
         if key in visited:
             termination = Termination.CYCLE_DETECTED
             break
