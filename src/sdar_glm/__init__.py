@@ -2,60 +2,15 @@
 
 The solver alternates support detection on the combined primal-dual vector
 with exact restricted Newton solves, and a path variant selects the
-sparsity level by a high-dimensional BIC.
+sparsity level by a high-dimensional BIC.  Each module's __all__ is its
+part of the package API.
 """
 
-from .families import (
-    Dataset,
-    GAUSSIAN,
-    Gaussian,
-    GlmFamily,
-    LOGISTIC,
-    Logistic,
-    NumericOverflowError,
-    get_family,
-    gradient,
-    linear_predictor,
-    negative_log_likelihood,
-)
-from .solver import (
-    FitResult,
-    SdarConfig,
-    SingularSystemError,
-    Termination,
-    gsdar_fit,
-    kkt_residual,
-    restricted_mle,
-    top_t_support,
-)
-from .path import AgsdarConfig, PathPoint, PathResult, agsdar_fit, hbic
-from .simulate import (
-    MetricReport,
-    SCHEME_AR1,
-    SCHEME_BANDED,
-    SimConfig,
-    gen_bernoulli_responses,
-    gen_coefficients,
-    gen_design_ar1,
-    gen_design_banded,
-    generate_instance,
-    metric_acrp,
-    metric_discovery,
-    metric_reerr,
-    run_replications,
-)
-from .dataio import (
-    InvalidLabelError,
-    LibsvmParseError,
-    MODE_LENGTH,
-    MODE_MEAN_VAR,
-    map_labels_to_binary,
-    pad_features,
-    read_libsvm,
-    standardize_columns,
-    train_test_split,
-    write_libsvm,
-)
-from .rng import make_rng
+from .families import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .path import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .dataio import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

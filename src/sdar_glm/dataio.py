@@ -14,9 +14,11 @@ colon with both sides nonempty.  Labels, indices and values are converted
 in classes of similar width, so that one long token does not widen the rest.
 Both directions share one rule for exact decimals: [+-]?digits[.digits]
 with at most 15 significant digits (leading zeros do not count) and at most
-18 digits after the point.  Labels and values spelled so, and indices of at
-most 18 digits, are canonical and are read with exact integer arithmetic in
-numpy: the digits form an integer below 10**15 < 2**53, and one division by
+18 digits after the point, once a 16th significant digit that is a last zero
+after the point is dropped (repr spells a 15-digit whole number with `.0`).
+Labels and values spelled so, and indices of at most 18 digits, are
+canonical and are read with exact integer arithmetic in numpy: the digits
+form an integer below 10**15 < 2**53, and one division by
 a power of ten gives the correctly rounded double that Python's float()
 returns.  Every other field is gathered into a fixed-width bytes
 array that numpy casts to float64 or int64 with Python's own float and int,
@@ -309,18 +311,21 @@ def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dt
     (int) bytes long.
 
     A canonical float is [+-]?digits[.digits] with at least one digit, at
-    most 15 significant ones and at most 18 after the dot, and a canonical
-    int is 1 to 18 digits.  The digits, dot left out, form an integer m
-    below 10**15 < 2**53 (10**18 < 2**63 for an int), so m and 10**f, f the
-    digits after the dot, are exact doubles, and m / 10**f is one correctly
-    rounded division: the bits of Python's correctly rounded float()
-    (Clinger's fast path).  A leading '-' divides by -10**f, which gives
-    -0.0 for '-0' as float() does.  The values of fields that are not
+    most 15 significant ones and at most 18 after the dot, once a 16th
+    significant digit that is a last zero after the dot is dropped; a
+    canonical int is 1 to 18 digits.  The digits, dot left out, form an
+    integer m below 10**15 < 2**53 (10**18 < 2**63 for an int), so m and
+    10**f, f the digits after the dot, are exact doubles, and m / 10**f is
+    one correctly rounded division: the bits of Python's correctly rounded
+    float() (Clinger's fast path).  A leading '-' divides by -10**f, which
+    gives -0.0 for '-0' as float() does.  The values of fields that are not
     canonical are left unspecified.
 
     The fields are read one byte column at a time, bytes past a field's end
     counting as NUL; each column updates m and the counts of digits, dots
-    and digits after the dot.
+    and digits after the dot.  Then each float field whose m reached 10**15
+    and whose last byte is a zero after the dot loses that zero from m and
+    from the count after the dot.
     """
     real = dtype == np.float64
     n, width = lens.size, int(lens.max())
@@ -355,6 +360,11 @@ def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dt
         m += d
     if not real:
         return m.astype(np.int64), ~junk
+    # the last byte, not m % 10, since a double m past 2**53 may be rounded
+    over = np.flatnonzero(m >= 10**15)
+    zero = over[(np.take(window, starts[over] + lens[over] - 1) == 48) & (frac[over] > 0)]
+    m[zero] //= 10
+    frac[zero] -= np.uint8(1)
     canonical = ~junk & (dots <= 1) & (digits >= 1) & (m < 10**15) & (frac <= 18)
     frac += np.uint8(19) * neg
     return m / np.take(_DIVISORS, frac, mode="clip"), canonical

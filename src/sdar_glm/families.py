@@ -33,6 +33,20 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 from scipy.special import expit
 
+__all__ = [
+    "NumericOverflowError",
+    "GlmFamily",
+    "Logistic",
+    "Gaussian",
+    "LOGISTIC",
+    "GAUSSIAN",
+    "get_family",
+    "Dataset",
+    "linear_predictor",
+    "negative_log_likelihood",
+    "gradient",
+]
+
 
 class NumericOverflowError(ArithmeticError):
     """A linear predictor x_i . beta, or the NLL summed up to observation i,

@@ -136,10 +136,10 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
     prev_fit = null
     best_hbic = points[0].hbic
 
-    t = cfg.increment_theta
-    while t <= q:
+    levels = range(cfg.increment_theta, q + 1, cfg.increment_theta)
+    for t in levels:
         if not cfg.full_path and _penalty(t, n, p) >= best_hbic:
-            skipped = tuple(range(t, q + 1, cfg.increment_theta))
+            skipped = tuple(levels[levels.index(t):])
             break
         inner = replace(cfg.inner, sparsity_t=t)
         start = prev_fit if cfg.warm_start else null  # the null fit carries no dual
@@ -148,7 +148,6 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
                             _dual0=start.dual)
         except FIT_FAILURES as exc:
             failures.append((t, str(exc)))
-            t += cfg.increment_theta
             continue
         points.append(PathPoint(t, fit, hbic(fit, n, p)))
         best_hbic = min(best_hbic, points[-1].hbic)
@@ -157,7 +156,6 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
         if cfg.change_below is not None and abs(fit.beta_hat - prev_fit.beta_hat).max() <= cfg.change_below:
             break
         prev_fit = fit
-        t += cfg.increment_theta
 
     best = min(points, key=lambda pt: (pt.hbic, pt.t))
     return PathResult(

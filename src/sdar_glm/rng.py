@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["make_rng"]
+
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Generator for the key (seed, *stream); same key, same draws."""

@@ -298,8 +298,7 @@ def run_replications(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     base = sim.seed if seed is None else seed
-    totals = np.zeros(6)
-    failures = 0
+    rows = []  # one score row per success, in MetricReport's field order
     for rep in range(reps):
         data, beta_star, support_star = generate_instance(sim, rep, base)
         if train_fraction is not None:
@@ -314,26 +313,14 @@ def run_replications(
             else:
                 fit = gsdar_fit(LOGISTIC, train, solver)
         except FIT_FAILURES:
-            failures += 1
             continue
         score_on = test if (test is not None and test.n > 0) else train
-        apdr, afdr, adr = metric_discovery(fit.support, support_star)
-        totals += (
+        rows.append((
             metric_reerr(fit.beta_hat, beta_star),
             fit_accuracy(fit, score_on),
-            apdr,
-            afdr,
-            adr,
+            *metric_discovery(fit.support, support_star),
             float(fit.iters),
-        )
-    successes = reps - failures
-    means = totals / successes if successes else np.full(6, np.nan)
-    return MetricReport(
-        reerr=float(means[0]),
-        acrp=float(means[1]),
-        apdr=float(means[2]),
-        afdr=float(means[3]),
-        adr=float(means[4]),
-        iters_avg=float(means[5]),
-        failures=failures,
-    )
+        ))
+    # numpy sums axis 0 of a C-ordered array row by row, as a running total would
+    means = np.mean(rows, axis=0).tolist() if rows else [math.nan] * 6
+    return MetricReport(*means, failures=reps - len(rows))

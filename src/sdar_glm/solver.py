@@ -109,7 +109,7 @@ class SdarConfig:
         if not 0.0 < self.step_size_tau <= 1.0:
             raise ValueError(f"step_size_tau must lie in (0, 1], got {self.step_size_tau}")
         if self.max_outer_iters < 1:
-            raise ValueError("iteration limits must be >= 1")
+            raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
 
 
 @dataclass(frozen=True)

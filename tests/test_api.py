@@ -41,6 +41,13 @@ def test_the_package_exports_exactly_the_public_names():
     assert exported == PUBLIC_NAMES
 
 
+def test_the_package_api_is_the_union_of_the_module_lists():
+    modules = ("families", "solver", "path", "simulate", "dataio", "rng")
+    lists = [importlib.import_module(f"sdar_glm.{name}").__all__ for name in modules]
+    assert {name for names in lists for name in names} == PUBLIC_NAMES
+    assert sum(len(names) for names in lists) == len(PUBLIC_NAMES)  # no name in two lists
+
+
 def test_the_test_references_are_not_shipped():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("sdar_glm.oracle")

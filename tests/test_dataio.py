@@ -589,6 +589,8 @@ def test_write_spells_indices_of_one_to_six_digits(tmp_path):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=st.lists(short_decimals().filter(lambda v: v == 0.0 or abs(v) >= 1e-4), min_size=1, max_size=20))
 @example(values=[0.000123456789012])  # 16 digits written, 12 of them significant
+@example(values=[1e14])  # a 15-digit whole number is written with `.0`: 16 digits
+@example(values=[-999999999999999.0])
 def test_written_short_decimals_read_back_without_the_python_cast(tmp_path, monkeypatch, values):
     # the writer spells a value of at least 1e-4 with at most 15 significant
     # digits and 18 places, which the reader reads on its exact path

@@ -1,6 +1,7 @@
 """Solver mechanics: support detection, restricted Newton,
 outer iteration, termination, and the stationarity certificate."""
 
+import re
 import warnings
 
 import numpy as np
@@ -351,7 +352,8 @@ def test_restricted_mle_validates_inputs(active, init, message):
     ],
 )
 def test_sdar_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    field, value = list(kwargs.items())[-1]  # the bad value is the last one given
+    with pytest.raises(ValueError, match=rf"^{field} must .*, got {re.escape(str(value))}$"):
         sg.SdarConfig(**kwargs)
 
 
