@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -56,19 +57,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_sweep(text: str, cast=float) -> list:
-    """A single value, or an inclusive START:STEP:STOP sweep."""
+    """A single value, or the values cast(START + i * STEP) of an inclusive
+    START:STEP:STOP sweep, counted exactly from the str of each cast bound."""
     try:
         if ":" in text:
-            a, b, c = text.split(":")
-            start, step, stop = cast(a), cast(b), cast(c)
-            if step <= 0 or stop < start:
+            start, step, stop = map(cast, text.split(":"))
+            lo, width, hi = (Fraction(str(bound)) for bound in (start, step, stop))
+            if width <= 0 or hi < lo:
                 raise ValueError
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            count = (hi - lo) // width + 1
             if count > MAX_SWEEP_VALUES:
                 raise ValueError
             return [cast(start + i * step) for i in range(count)]
         return [cast(text)]
-    except (ValueError, TypeError, OverflowError):  # an infinite bound overflows the count
+    except (ValueError, TypeError):
         raise UsageError(
             f"bad sweep {text!r}; use VALUE or START:STEP:STOP with at most {MAX_SWEEP_VALUES} values"
         ) from None

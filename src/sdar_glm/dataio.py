@@ -12,28 +12,21 @@ into tokens, whose bounds come from the positions of those bytes; the first
 token of each line is its label, and each other token must hold exactly one
 colon with both sides nonempty.  Labels, indices and values are converted
 in classes of similar width, so that one long token does not widen the rest.
-Both directions share one rule for exact decimals: [+-]?digits[.digits]
-with at most 15 significant digits (leading zeros do not count) and at most
-18 digits after the point, once a 16th significant digit that is a last zero
-after the point is dropped (repr spells a 15-digit whole number with `.0`).
-Labels and values spelled so, and indices of at most 18 digits, are
-canonical and are read with exact integer arithmetic in numpy: the digits
-form an integer below 10**15 < 2**53, and one division by
-a power of ten gives the correctly rounded double that Python's float()
-returns.  Every other field is gathered into a fixed-width bytes
-array that numpy casts to float64 or int64 with Python's own float and int,
-so spellings such as `+2`, `1_0`, `nan` and `1e999` read, or fail, as they
-do in Python.  A byte above 127 anywhere, or
-a control byte outside a comment, makes the byte pass give up.  The
-positivity, ordering and finiteness checks run on whole arrays, and a single
-assignment fills X.  When any check fails, the bytes read are decoded as
-ASCII text and walked token by token, which raises the UnicodeDecodeError of
-a non-ASCII byte before any line is checked, or else the LibsvmParseError of
-the first malformed line, carrying its 1-based line number.  Problems of the
-file as a whole (no data lines, n_features below the largest index, a dense
-X too large to allocate) carry line number 0.  Because every value is
-checked as it is parsed, the returned Dataset does not scan X again, and the
-CLI does not rescan it unless it was standardized.
+Labels and values that are exact decimals (below), and indices of at most
+_PLACES digits, are read with exact integer arithmetic in numpy.  Every
+other field is gathered into a fixed-width bytes array that numpy casts to
+float64 or int64 with Python's own float and int, so spellings such as
+`+2`, `1_0`, `nan` and `1e999` read, or fail, as they do in Python.  A byte
+above 127 anywhere, or a control byte outside a comment, makes the byte
+pass give up.  The positivity, ordering and finiteness checks run on whole
+arrays, and a single assignment fills X.  When any check fails, the bytes
+read are decoded as ASCII text and walked token by token, which raises the
+UnicodeDecodeError of a non-ASCII byte before any line is checked, or else
+the LibsvmParseError of the first malformed line, carrying its 1-based line
+number.  Problems of the file as a whole (no data lines, n_features below
+the largest index, a dense X too large to allocate) carry line number 0.
+Because every value is checked as it is parsed, the returned Dataset does
+not scan X again, and the CLI does not rescan it unless it was standardized.
 
 Files are read on every usable CPU: the bytes are cut just after line feeds
 into at most one piece per CPU and per _PIECE_FLOOR (1 MiB) bytes, each a
@@ -44,21 +37,31 @@ piece starts a line and holds whole lines, comments included, so X, y and
 the error of a malformed file do not depend on the number of pieces.  A
 file of one piece is read on the calling thread and starts none.
 
+Exact decimals.  Both directions share one rule (Clinger; Steele and White;
+PLDI 1990).  A decimal is exact when it is spelled [+-]?digits[.digits]
+with at most _DIGITS significant digits (leading zeros do not count) and
+at most _PLACES digits after the point, once one digit more that is a last
+zero after the point is dropped (repr spells a whole number of _DIGITS digits
+with `.0`).  Its digits, point left out, are an integer m < 10**_DIGITS <
+2**53, so m / 10**f, f its places, is one correctly rounded division of
+exact doubles: the bits of Python's float().  Distinct exact decimals round
+to distinct doubles, so at most one rounds to a double v, and when
+1e-4 <= |v|, repr(v) spells it, without an exponent.
+
 write_libsvm writes the bytes that one repr per nonzero value would, by the
-reader's arithmetic run backwards where it can.  Let f <= 18 be the most
-places that keep m = rint(|v| * 10**f) below 10**15.  When 1e-4 <= |v| and
-m / 10**f == |v|, exactly one exact decimal rounds to v, m * 10**-f, and
-repr(v) spells it without an exponent; the writer spells it from the
-integers m and f, one decimal digit per numpy pass: the sign, the integer
-part with no leading zeros, the point, and the fraction with no trailing
-zeros (`.0` for a whole number).  Every other value is its sign and the
-repr of |v|, and every label is its repr, so every nonzero value reads back
-with its bits.  X is scanned for nonzeros a block of rows at a time, and
-each chunk of rows becomes one fixed-width bytes array with an item per
-label and per ` index:value` token, in file order, padded with NUL bytes
-that are dropped on output.  No path of the library or the CLI writes
-LIBSVM; the writer serves callers of the API, and the benchmark writes its
-ingest input with it.
+reader's arithmetic run backwards where it can.  It finds the places f of
+|v| by comparing |v| with powers of ten, and when 1e-4 <= |v| and
+m = rint(|v| * 10**f) gives m / 10**f == |v|, v is an exact decimal, which
+the writer spells from the integers m and f, one decimal digit per numpy
+pass: the sign, the integer part with no leading zeros, the point, and the
+fraction with no trailing zeros (`.0` for a whole number).  Every other
+value is its sign and the repr of |v|, and every label is its repr, so
+every nonzero value reads back with its bits.  X is scanned for nonzeros a
+block of rows at a time, and each chunk of rows becomes one fixed-width
+bytes array with an item per label and per ` index:value` token, in file
+order, padded with NUL bytes that are dropped on output.  No path of the
+library or the CLI writes LIBSVM; the writer serves callers of the API, and
+the benchmark writes its ingest input with it.
 """
 
 from __future__ import annotations
@@ -260,10 +263,9 @@ def _convert(window: np.ndarray, starts: np.ndarray, stops: np.ndarray, dtype) -
 
     Fields are read in classes of similar width: those up to 8 bytes long,
     then lengths (2**(k-1), 2**k] for k > 3.  In a class no wider than a
-    canonical spelling (21 bytes for a float, 18 for an int),
-    _read_canonical reads the canonical fields exactly; every other field is
-    cast by _cast_with_python.  So a gather never takes more than 8 bytes a
-    field, or twice the field's bytes.
+    canonical spelling (_CANONICAL_WIDTH), _read_canonical reads the
+    canonical fields exactly; every other field is cast by _cast_with_python.
+    So a gather never takes more than 8 bytes a field, or twice its bytes.
     """
     lens = stops - starts
     out = np.empty(lens.size, dtype)
@@ -294,46 +296,41 @@ def _width_classes(lens: np.ndarray) -> list:
     return [np.flatnonzero(width_class == k) for k in np.flatnonzero(counts)]
 
 
-# the widest canonical spellings the writer makes: a sign, 0, a dot and 18
-# places; 18 digits
-_CANONICAL_WIDTH = {np.float64: 21, np.int64: 18}
-# 10**f for f = 0..18, each an exact double, and as int64; the reader
-# divides by _DIVISORS, the powers and then their negatives
-_POW10 = np.array([10.0**f for f in range(19)])
-_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
-_DIVISORS = np.concatenate([_POW10, -_POW10])
+# the exact-decimal rule's most significant digits and most places
+_DIGITS, _PLACES = 15, 18
+# 10**f for f = 0.._PLACES, each an exact double, and as int64
+_POW10 = np.array([10.0**f for f in range(_PLACES + 1)])
+_POW10_INT = 10 ** np.arange(_PLACES + 1, dtype=np.int64)
+# the widest canonical spellings: a sign, 0, a dot and _PLACES places; _PLACES digits
+_CANONICAL_WIDTH = {np.float64: _PLACES + 3, np.int64: _PLACES}
+# the doubles of 10**(_DIGITS - f) for f = _PLACES..1; from each on, f places exceed _DIGITS digits
+_EDGES = _POW10[_DIGITS] / _POW10[_PLACES:0:-1]
 
 
 def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dtype):
     """The values of the fields window[starts:starts+lens], and which of
     them are canonical and so exact.  The fields are nonempty, hold no NUL
-    (the tokenizer rejects control bytes) and are at most 21 (float) or 18
-    (int) bytes long.
+    (the tokenizer rejects control bytes) and are at most _CANONICAL_WIDTH
+    bytes long.
 
-    A canonical float is [+-]?digits[.digits] with at least one digit, at
-    most 15 significant ones and at most 18 after the dot, once a 16th
-    significant digit that is a last zero after the dot is dropped; a
-    canonical int is 1 to 18 digits.  The digits, dot left out, form an
-    integer m below 10**15 < 2**53 (10**18 < 2**63 for an int), so m and
-    10**f, f the digits after the dot, are exact doubles, and m / 10**f is
-    one correctly rounded division: the bits of Python's correctly rounded
-    float() (Clinger's fast path).  A leading '-' divides by -10**f, which
-    gives -0.0 for '-0' as float() does.  The values of fields that are not
-    canonical are left unspecified.
+    A canonical float is an exact decimal (module docstring), m / 10**f, and
+    a canonical int is 1 to _PLACES digits, below 10**_PLACES < 2**63.  A
+    leading '-' negates the quotient, which gives -0.0 for '-0' as float()
+    does.  The values of fields that are not canonical are left unspecified.
 
     The fields are read one byte column at a time, bytes past a field's end
     counting as NUL; each column updates m and the counts of digits, dots
-    and digits after the dot.  Then each float field whose m reached 10**15
-    and whose last byte is a zero after the dot loses that zero from m and
-    from the count after the dot.
+    and digits after the dot.  Then each float field whose m reached
+    10**_DIGITS and whose last byte is a zero after the dot loses that zero
+    from m and from the count after the dot.
     """
     real = dtype == np.float64
     n, width = lens.size, int(lens.max())
     lens = lens.astype(np.uint8)
     least = int(lens.min())
-    # 9 digits < 2**31 and 18 < 2**63; a wider field could wrap an int64,
-    # but a double, once at or past 10**15, never falls below it again
-    m = np.zeros(n, np.int32 if width <= 9 else np.int64 if width <= 18 else np.float64)
+    # 9 digits < 2**31 and _PLACES < 2**63; a wider field could wrap an
+    # int64, but a double, once at or past 10**_DIGITS, never falls below it
+    m = np.zeros(n, np.int32 if width <= 9 else np.int64 if width <= _PLACES else np.float64)
     digits = np.zeros(n, np.uint8)
     dots = np.zeros(n, np.uint8)
     frac = np.zeros(n, np.uint8)
@@ -361,13 +358,13 @@ def _read_canonical(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dt
     if not real:
         return m.astype(np.int64), ~junk
     # the last byte, not m % 10, since a double m past 2**53 may be rounded
-    over = np.flatnonzero(m >= 10**15)
+    over = np.flatnonzero(m >= 10**_DIGITS)
     zero = over[(np.take(window, starts[over] + lens[over] - 1) == 48) & (frac[over] > 0)]
     m[zero] //= 10
     frac[zero] -= np.uint8(1)
-    canonical = ~junk & (dots <= 1) & (digits >= 1) & (m < 10**15) & (frac <= 18)
-    frac += np.uint8(19) * neg
-    return m / np.take(_DIVISORS, frac, mode="clip"), canonical
+    canonical = ~junk & (dots <= 1) & (digits >= 1) & (m < 10**_DIGITS) & (frac <= _PLACES)
+    values = m / np.take(_POW10, frac, mode="clip")  # >= +0, so a copied sign negates
+    return np.copysign(values, 0.5 - neg, out=values), canonical
 
 
 def _cast_with_python(window: np.ndarray, starts: np.ndarray, lens: np.ndarray, dtype) -> np.ndarray:
@@ -521,14 +518,14 @@ def _tokens(cols: np.ndarray, values: np.ndarray, p: int, min_width: int) -> np.
     fields = [("space", "u1"), ("index", f"({index_digits},)u1"), ("colon", "u1"), ("sign", "u1")]
     if exact.size:
         # the decimal is whole + part / 10**places, with part below 10**places;
-        # part scaled to 18 places is an exact int64, its digits left-aligned
+        # part scaled to _PLACES places is an exact int64, its digits left-aligned
         whole = np.floor(magnitude[exact]).astype(np.int64)
         places = places[exact]
         part = digits[exact].astype(np.int64) - whole * _POW10_INT[places]
-        part *= _POW10_INT[18 - places]
+        part *= _POW10_INT[_PLACES - places]
         zeros = _shared_zeros(part)
         part //= _POW10_INT[zeros]
-        whole_digits, part_digits = len(str(whole.max())), 18 - zeros
+        whole_digits, part_digits = len(str(whole.max())), _PLACES - zeros
         fields += [("whole", f"({whole_digits},)u1"), ("point", "u1"), ("part", f"({part_digits},)u1")]
     if rest.size:
         spelled = _spell_with_repr(magnitude[rest])
@@ -557,32 +554,31 @@ def _spell_with_repr(values: np.ndarray) -> np.ndarray:
 
 
 def _decimal_form(magnitude: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For positive finite magnitudes a: places f, digits m = rint(a * 10**f)
-    with f <= 18 the most places that keep m below 10**15, and which a are
-    canonical: a >= 1e-4, m < 10**15 and m / 10**f == a.
+    """For positive finite magnitudes a: places f, the most, at most
+    _PLACES, at which a < 10**(_DIGITS - f) as doubles (_EDGES); digits
+    m = rint(a * 10**f); and which a are canonical: a >= 1e-4,
+    m < 10**_DIGITS and m / 10**f == a.
 
-    m and 10**f are exact doubles, so the division is correctly rounded, and
-    m / 10**f == a says that the decimal m * 10**-f, of at most 15
-    significant digits, rounds to a.  At most one decimal of 15 or fewer
-    significant digits rounds to a given double, so it is the shortest that
-    reads back as a, the digits of repr(a), which repr writes without an
-    exponent since 1e-4 <= a < 1e16.  A decimal with fewer places passes the
-    test at the most places too (m gains only zeros), so one test decides.
+    An exact decimal d >= 1e-4 in [10**e, 10**(e + 1)) has at most
+    _DIGITS - 1 - e places, and that is f: rounding is monotonic, and the
+    decimal 10**(e + 1) rounds to another double than d, so the double a
+    lies in the same bounds as doubles.  Then m is d's integer (a * 10**f is
+    within 1/2 of it) and m / 10**f is a.  Conversely m / 10**f == a says
+    that the exact decimal m * 10**-f rounds to a, so repr(a) spells it
+    (module docstring).  A decimal with fewer places passes at the most
+    places too (m gains only zeros), so one test decides.
     """
-    places = np.clip(14.0 - np.floor(np.log10(magnitude)), 0.0, 18.0).astype(np.intp)
+    # a uint8 count of the edges at or below a, one pass per edge, is faster
+    # than a binary search per magnitude; an intp index gathers faster
+    places = (_PLACES - sum((magnitude >= edge for edge in _EDGES), np.uint8(0))).astype(np.intp)
     digits = np.rint(magnitude * _POW10[places])
-    # log10 may round across a power of ten: move those values by one place
-    off = np.flatnonzero(((digits >= 1e15) & (places > 0)) | ((digits < 1e14) & (places < 18)))
-    if off.size:
-        places[off] += np.where(digits[off] >= 1e15, -1, 1)
-        digits[off] = np.rint(magnitude[off] * _POW10[places[off]])
-    canonical = (magnitude >= 1e-4) & (digits < 1e15) & (digits / _POW10[places] == magnitude)
+    canonical = (magnitude >= 1e-4) & (digits < _POW10[_DIGITS]) & (digits / _POW10[places] == magnitude)
     return places, digits, canonical
 
 
 def _shared_zeros(part: np.ndarray) -> int:
-    """The most trailing decimal zeros, at most 17, that every part has."""
-    for zeros in range(17, 0, -1):
+    """The most trailing decimal zeros, at most _PLACES - 1, that every part has."""
+    for zeros in range(_PLACES - 1, 0, -1):
         unit = _POW10_INT[zeros]
         if not np.any(part % unit):
             return zeros

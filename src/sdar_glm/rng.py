@@ -20,8 +20,8 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def as_rng(seed_or_rng: int | np.random.Generator, *stream: int) -> np.random.Generator:
+def as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
     """Pass a Generator through, or build one from an integer seed."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return make_rng(int(seed_or_rng), *stream)
+    return make_rng(int(seed_or_rng))

@@ -68,6 +68,15 @@ def test_parse_sweep_singletons_and_ranges():
     assert len(parse_sweep("0.1:0.1:0.3")) == 3  # inclusive despite rounding
 
 
+def test_parse_sweep_counts_its_values_exactly():
+    # a STOP just short of a value leaves that value out
+    assert parse_sweep("0:1:2.9999999999") == [0.0, 1.0, 2.0]
+    assert parse_sweep("0:1:3") == [0.0, 1.0, 2.0, 3.0]
+    assert len(parse_sweep("0:0.1:0.9999999999")) == 10
+    assert len(parse_sweep("0:0.1:1")) == 11
+    assert parse_sweep("7:3:15", int) == [7, 10, 13]
+
+
 @pytest.mark.parametrize("text", ["1:2", "1:0:5", "5:1:2", "a:b:c", "x", "2.5"])
 def test_parse_sweep_rejects_malformed_input(text):
     with pytest.raises(UsageError, match="bad sweep"):
@@ -79,9 +88,9 @@ def test_parse_sweep_rejects_nonpositive_float_steps():
         parse_sweep("0.1:-0.1:0.5")
 
 
-@pytest.mark.parametrize("text", ["0:1:inf", "-inf:1:0"])
+@pytest.mark.parametrize("text", ["0:1:inf", "-inf:1:0", "0:1e999:1"])
 def test_parse_sweep_rejects_infinite_float_bounds(text, capsys):
-    # the value count (stop - start) / step overflows instead of building a list
+    # a bound that casts to an infinity has no exact value to count from
     with pytest.raises(UsageError, match="bad sweep"):
         parse_sweep(text)
     argv = ["simulate", "--scheme", "ar1", "--n", "10", "--p", "5", "--K", "1", f"--rho={text}"]

@@ -586,28 +586,6 @@ def test_write_spells_indices_of_one_to_six_digits(tmp_path):
     )
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(values=st.lists(short_decimals().filter(lambda v: v == 0.0 or abs(v) >= 1e-4), min_size=1, max_size=20))
-@example(values=[0.000123456789012])  # 16 digits written, 12 of them significant
-@example(values=[1e14])  # a 15-digit whole number is written with `.0`: 16 digits
-@example(values=[-999999999999999.0])
-def test_written_short_decimals_read_back_without_the_python_cast(tmp_path, monkeypatch, values):
-    # the writer spells a value of at least 1e-4 with at most 15 significant
-    # digits and 18 places, which the reader reads on its exact path
-    X = np.array(values).reshape(-1, 1)
-    y = np.where(np.arange(X.shape[0]) % 2, 1.0, -1.0)
-    path = tmp_path / "short.txt"
-    sg.write_libsvm(sg.Dataset(X, y), str(path))
-
-    def python_cast(*args):
-        raise AssertionError("a written short decimal was cast by Python")
-
-    monkeypatch.setattr(dataio, "_cast_with_python", python_cast)
-    back = sg.read_libsvm(str(path), n_features=1)
-    assert back.X.tobytes() == (X + 0.0).tobytes()  # -0.0 is written as a zero
-    assert back.y.tobytes() == y.tobytes()
-
-
 def count_repr_values(monkeypatch) -> list:
     """Patch dataio._spell_with_repr to record how many values each call spells."""
     counted = []
@@ -619,6 +597,40 @@ def count_repr_values(monkeypatch) -> list:
 
     monkeypatch.setattr(dataio, "_spell_with_repr", counting)
     return counted
+
+
+# the 15-digit all-nines decimal at each of 0 to 18 places: each lies just
+# below a power of ten, where a log10 of it may round up
+ALL_NINES = [(10**15 - 1) / 10**f for f in range(19)]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(short_decimals().filter(lambda v: v == 0.0 or abs(v) >= 1e-4), min_size=1, max_size=20))
+@example(values=[0.000123456789012])  # 16 digits written, 12 of them significant
+@example(values=[1e14])  # a 15-digit whole number is written with `.0`: 16 digits
+@example(values=[-999999999999999.0])
+@example(values=ALL_NINES)
+def test_exact_decimals_are_written_and_read_on_the_exact_paths(tmp_path, monkeypatch, values):
+    # a value of at least 1e-4 with at most 15 significant digits and 18
+    # places is spelled by the writer with repr's bytes but without repr, and
+    # read back with its bits without Python's cast
+    X = np.array(values).reshape(-1, 1)
+    y = np.where(np.arange(X.shape[0]) % 2, 1.0, -1.0)
+    data = sg.Dataset(X, y)
+    path = tmp_path / "short.txt"
+    counted = count_repr_values(monkeypatch)
+    assert written_bytes(sg.write_libsvm, data, path) == written_bytes(
+        write_libsvm_per_entry, data, tmp_path / "reference.txt"
+    )
+    assert counted == []
+
+    def python_cast(*args):
+        raise AssertionError("a written short decimal was cast by Python")
+
+    monkeypatch.setattr(dataio, "_cast_with_python", python_cast)
+    back = sg.read_libsvm(str(path), n_features=1)
+    assert back.X.tobytes() == (X + 0.0).tobytes()  # -0.0 is written as a zero
+    assert back.y.tobytes() == y.tobytes()
 
 
 def sparse_three_decimal_design(seed, n, p, density):

@@ -166,6 +166,25 @@ def test_restricted_mle_separable_data_engages_small_cap(monkeypatch):
     assert b[0] == 8.0
 
 
+def test_restricted_mle_returns_its_clipped_init_when_the_step_does_not_descend(monkeypatch):
+    # a step along +g has slope g @ g > 0: the solve stops after the one NLL
+    # evaluation at its start, with no line search
+    nll_calls = []
+
+    class Counting(sg.Logistic):
+        def nll(self, y, theta):
+            nll_calls.append(1)
+            return super().nll(y, theta)
+
+    monkeypatch.setattr("sdar_glm.solver._solve_newton_system", lambda H, g, active: g.copy())
+    rng = make_rng(3, 0)
+    data = sg.Dataset(rng.standard_normal((20, 3)), (rng.random(20) < 0.5).astype(float))
+    init = np.array([45.0, -0.5, 0.25])  # its first entry beyond coef_cap = 30
+    b = restricted_mle(Counting(), data, np.arange(3), init, sg.SdarConfig(sparsity_t=3))
+    assert b.tolist() == [sg.SdarConfig.coef_cap, -0.5, 0.25]
+    assert len(nll_calls) == 1
+
+
 def test_restricted_mle_gaussian_ignores_the_cap():
     X = np.array([[1.0], [1.0], [1.0], [1.0]])
     y = np.array([99.0, 101.0, 100.0, 100.0])
