@@ -1,9 +1,9 @@
 """Command-line driver.
 
-Subcommands: fit, path, simulate, bench-iters, real-data.  Every run is a
-batch job whose output is fully determined by its arguments: same argv,
-same bytes.  CSV outputs start with the schema comment line.  Exit codes:
-0 success, 1 usage or input parsing problem, 2 solver failure.
+Subcommands: fit, path, simulate, real-data.  Every run is a batch job
+whose output is fully determined by its arguments: same argv, same bytes.
+CSV outputs start with the schema comment line.  Exit codes: 0 success,
+1 usage or input parsing problem, 2 solver failure.
 """
 
 from __future__ import annotations
@@ -133,12 +133,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--intercept", action="store_true", help="fit an unpenalized intercept")
 
 
-def _add_replication_flags(sub):
-    sub.add_argument("--tau", type=float, default=1.0)
-    sub.add_argument("--reps", type=_checked(int, lambda r: r >= 1, "be >= 1"), default=100)
-    sub.add_argument("--seed", type=int, default=0)
-
-
 def _solver_config(args, t: int) -> SdarConfig:
     """The SdarConfig of the solver flags, at sparsity level t."""
     return SdarConfig(
@@ -224,81 +218,46 @@ def _cmd_path(args) -> int:
     return 0
 
 
-def _run_cells(columns, metrics, grid, prefix, configure, reps, output, train_fraction=None) -> int:
-    """Replicate every cell of `grid` and write one CSV row per cell.
-
-    A row is prefix(*cell), the report's `metrics` and its failure count.
-    configure(*cell) returns the cell's (SimConfig, solver config); a
-    ValueError from it or from run_replications blanks the metrics and fills
-    the row's error.  Exit code 2 when no cell had a replication succeed.
-    """
-    rows = []
-    any_ok = False
-    for cell in grid:
-        row = prefix(*cell)
-        try:
-            sim, solver = configure(*cell)
-            report = run_replications(sim, solver, reps, train_fraction=train_fraction)
-        except ValueError as exc:
-            rows.append(row + [None] * (len(metrics) + 1) + [str(exc)])
-            continue
-        failed_all = report.failures >= reps
-        rows.append(row + [getattr(report, m) for m in metrics] + [
-            report.failures, "all replications failed" if failed_all else None,
-        ])
-        any_ok = any_ok or not failed_all
-    _write_output(_csv_text(columns + metrics + ["rep_failures", "error"], rows), output)
-    return 0 if any_ok else 2
-
-
 def _cmd_simulate(args) -> int:
+    """Replicate every cell of the sweep grid and write one CSV row per cell:
+    the cell, its metrics and its failure count.  A ValueError while
+    configuring or replicating a cell blanks its metrics and fills its error.
+    Exit code 2 when no cell had a replication succeed."""
     agsdar = args.solver == "agsdar"
     # the flags shared by every cell are checked here, once; --T belongs to
     # gsdar and --Q to agsdar (--theta has a default, and is ignored by gsdar)
     for flag, value, owner in (("--T", args.T, "gsdar"), ("--Q", args.Q, "agsdar")):
         if value is not None and args.solver != owner:
             raise UsageError(f"{flag} applies only to --solver {owner}")
-    t = 1 if args.T is None else args.T
-    inner = SdarConfig(sparsity_t=t, step_size_tau=args.tau)
+    inner = SdarConfig(sparsity_t=1 if args.T is None else args.T, step_size_tau=args.tau)
     path_cfg = (AgsdarConfig(increment_theta=args.theta, max_support_q=args.Q, inner=inner)
                 if agsdar else None)
 
-    def prefix(n, p, k, rho, ratio, t):
-        return [args.scheme, n, p, k, rho, ratio, args.solver, None if agsdar else t,
-                args.theta if agsdar else None, args.Q if agsdar else None,
-                args.split, args.reps, args.seed]
-
-    def configure(n, p, k, rho, ratio, t):
-        sim = SimConfig(n=n, p=p, k=k, rho=rho, range_ratio=ratio, scheme=args.scheme, seed=args.seed)
-        return sim, path_cfg if agsdar else replace(inner, sparsity_t=t)
-
-    cells = (
-        (n, p, k, rho, ratio, k if args.T is None else args.T)
-        for n, p, k, rho, ratio in itertools.product(args.n, args.p, args.K, args.rho, args.R)
-    )
-    return _run_cells(
-        ["scheme", "n", "p", "K", "rho", "R", "solver", "T", "theta", "Q", "split", "reps", "seed"],
-        ["reerr", "acrp", "apdr", "afdr", "adr", "iters_avg"],
-        cells, prefix, configure, args.reps, args.output, train_fraction=args.split,
-    )
-
-
-def _cmd_bench_iters(args) -> int:
-    # the flags shared by every cell are checked once, not per cell
-    inner = SdarConfig(sparsity_t=1, step_size_tau=args.tau)
-    base = SimConfig(n=args.n, p=args.p, k=0, rho=0.0, range_ratio=args.R,
-                     scheme=SCHEME_AR1, seed=args.seed)
-
-    def prefix(rho, k):
-        return [SCHEME_AR1, args.n, args.p, k, rho, args.R, args.reps, args.seed]
-
-    def configure(rho, k):
-        return replace(base, k=k, rho=rho), replace(inner, sparsity_t=k)
-
-    return _run_cells(
-        ["scheme", "n", "p", "K", "rho", "R", "reps", "seed"], ["iters_avg"],
-        itertools.product(args.rho, args.K), prefix, configure, args.reps, args.output,
-    )
+    metrics = ["reerr", "acrp", "apdr", "afdr", "adr", "iters_avg"]
+    rows = []
+    any_ok = False
+    for n, p, k, rho, ratio in itertools.product(args.n, args.p, args.K, args.rho, args.R):
+        t = k if args.T is None else args.T
+        row = [args.scheme, n, p, k, rho, ratio, args.solver, None if agsdar else t,
+               args.theta if agsdar else None, args.Q if agsdar else None,
+               args.split, args.reps, args.seed]
+        try:
+            sim = SimConfig(n=n, p=p, k=k, rho=rho, range_ratio=ratio, scheme=args.scheme,
+                            seed=args.seed)
+            solver = path_cfg if agsdar else replace(inner, sparsity_t=t)
+            report = run_replications(sim, solver, args.reps, train_fraction=args.split)
+        except ValueError as exc:
+            rows.append(row + [None] * (len(metrics) + 1) + [str(exc)])
+            continue
+        failed_all = report.failures >= args.reps
+        rows.append(row + [getattr(report, m) for m in metrics] + [
+            report.failures, "all replications failed" if failed_all else None,
+        ])
+        any_ok = any_ok or not failed_all
+    header = ["scheme", "n", "p", "K", "rho", "R", "solver", "T", "theta", "Q", "split", "reps",
+              "seed", *metrics, "rep_failures", "error"]
+    _write_output(_csv_text(header, rows), args.output)
+    return 0 if any_ok else 2
 
 
 def _cmd_real_data(args) -> int:
@@ -385,17 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--Q", type=int, default=None)
     sim.add_argument("--split", type=_checked(float, lambda f: 0.0 < f <= 1.0, "lie in (0, 1]"),
                      default=None, help="train fraction; accuracy scores the held-out rest")
-    _add_replication_flags(sim)
+    sim.add_argument("--tau", type=float, default=1.0)
+    sim.add_argument("--reps", type=_checked(int, lambda r: r >= 1, "be >= 1"), default=100)
+    sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(func=_cmd_simulate)
-
-    bench = subs.add_parser("bench-iters", help="average outer iterations at T = K")
-    bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--p", type=int, required=True)
-    bench.add_argument("--K", type=int_sweep, required=True, help="support size (sweepable)")
-    bench.add_argument("--rho", type=parse_sweep, default=[0.1], help="AR(1) correlation (sweepable)")
-    bench.add_argument("--R", type=float, default=3.0)
-    _add_replication_flags(bench)
-    bench.set_defaults(func=_cmd_bench_iters)
 
     real = subs.add_parser("real-data", help="end-to-end pipeline on LIBSVM files")
     real.add_argument("--family", choices=["logistic", "gaussian"], default="logistic")

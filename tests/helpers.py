@@ -1,15 +1,16 @@
-"""Shared instance builders for the test suite, a counter of np.isfinite
-scans for the tests that pin how often a design is checked, and the reference
-implementations that library code is compared against: the exhaustive
-best-subset search and the finite-difference gradient, the GSDAR map
-stepped one iterate at a time, the per-token LIBSVM reader, the per-entry
-LIBSVM writer, the AR(1) design recursion over separate draws, and the
-Newton-system solve through scipy.linalg.solve.  None of them is fast; each
-is simple enough to audit by eye.
+"""Shared instance builders for the test suite, the fixed probe set of the
+invariant ledger, a counter of np.isfinite scans for the tests that pin how
+often a design is checked, and the reference implementations that library
+code is compared against: the exhaustive best-subset search and the
+finite-difference gradient, the GSDAR map stepped one iterate at a time,
+the per-token LIBSVM reader, the per-entry LIBSVM writer, the AR(1) design
+recursion over separate draws, and the Newton-system solve through
+scipy.linalg.solve.  None of them is fast; each is simple enough to audit
+by eye.
 
 All randomness flows through keyed Philox streams, so every instance is a
 pure function of its seed: stream 0 feeds the design, 1 the coefficients,
-2 the responses.
+2 the responses.  Probe problem i is drawn whole from the stream (0, i).
 """
 
 import contextlib
@@ -77,6 +78,39 @@ def gaussian_instance(seed: int, n: int, p: int, k: int, noise: float = 1.0):
     beta, support = sg.gen_coefficients(p, k, m1, 2.0 * m1, make_rng(seed, 1))
     y = X @ beta + noise * make_rng(seed, 2).standard_normal(n)
     return sg.Dataset(X, y), beta, support
+
+
+PROBE_SIZE = 3000
+
+
+def probe_problem(i: int):
+    """Problem i of the fixed probe set that the invariant ledger fits, drawn
+    from the stream (0, i): an i.i.d. Gaussian n x p design with n in [5, 39]
+    and p in [2, 29]; the logistic family with probability 0.7, its labels
+    then separable (the sign of x . beta) with probability 0.3; one column
+    copied onto another with probability 0.3; an intercept with probability
+    0.4; K planted coefficients of magnitude in [0.5, 3] with random signs,
+    K in [1, p]; and a sparsity level T in [1, min(p, n - intercept)].
+    Returns (family, data, cfg)."""
+    rng = make_rng(0, i)
+    n, p = int(rng.integers(5, 40)), int(rng.integers(2, 30))
+    family = sg.LOGISTIC if rng.random() < 0.7 else sg.GAUSSIAN
+    X = rng.standard_normal((n, p))
+    if rng.random() < 0.3:
+        source, copy = rng.choice(p, 2, replace=False)
+        X[:, copy] = X[:, source]
+    with_intercept = bool(rng.random() < 0.4)
+    k = int(rng.integers(1, p + 1))
+    beta = np.zeros(p)
+    beta[rng.choice(p, k, replace=False)] = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 3.0, k)
+    if family is sg.GAUSSIAN:
+        y = X @ beta + rng.standard_normal(n)
+    elif rng.random() < 0.3:
+        y = (X @ beta > 0.0).astype(float)
+    else:
+        y = sg.gen_bernoulli_responses(X, beta, rng)
+    t = int(rng.integers(1, min(p, n - with_intercept) + 1))
+    return family, Dataset(X, y), SdarConfig(sparsity_t=t, with_intercept=with_intercept)
 
 
 def orthogonal_design(seed: int, n: int, p: int) -> np.ndarray:

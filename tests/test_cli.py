@@ -155,7 +155,6 @@ def test_fit_output_is_byte_deterministic_and_file_matches_stdout(tmp_path, caps
     [
         ["path", "--family", "logistic", "--data", "TRAIN", "--Q", "3"],
         ["simulate", "--scheme", "ar1", "--n", "50", "--p", "12", "--K", "1:1:2", "--reps", "2"],
-        ["bench-iters", "--n", "50", "--p", "12", "--K", "2", "--reps", "2"],
         ["real-data", "--train", "TRAIN", "--train-size", "40"],
     ],
     ids=lambda argv: argv[0],
@@ -178,7 +177,6 @@ def test_output_file_matches_stdout(tmp_path, capsys, argv):
         ["fit", "--family", "logistic", "--data", "TRAIN", "--T", "1"],
         ["path", "--family", "logistic", "--data", "TRAIN", "--Q", "3"],
         ["simulate", "--scheme", "ar1", "--n", "50", "--p", "12", "--K", "2", "--reps", "1"],
-        ["bench-iters", "--n", "50", "--p", "12", "--K", "2", "--reps", "1"],
         ["real-data", "--train", "TRAIN", "--train-size", "40"],
     ],
     ids=lambda argv: argv[0],
@@ -241,6 +239,14 @@ def test_usage_problems_exit_one(argv, capsys):
     assert err.startswith("error:")
 
 
+def test_bench_iters_is_not_a_command(capsys):
+    # simulate --scheme ar1 computes what it did
+    code, out, err = run_cli(["bench-iters", "--n", "20", "--p", "10", "--K", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: argument command: invalid choice: 'bench-iters'")
+
+
 SIM = ["simulate", "--scheme", "ar1", "--n", "20", "--p", "10", "--K", "2", "--reps", "1"]
 
 
@@ -250,21 +256,10 @@ SIM = ["simulate", "--scheme", "ar1", "--n", "20", "--p", "10", "--K", "2", "--r
         (SIM + ["--tau", "0"], "error: step_size_tau must lie in (0, 1], got 0.0"),
         (SIM + ["--split", "0"], "error: argument --split: must lie in (0, 1], got 0.0"),
         (SIM + ["--solver", "agsdar", "--theta", "0"], "error: increment_theta must be >= 1, got 0"),
-        (["bench-iters", "--n", "20", "--p", "10", "--K", "1:1:2", "--reps", "0"],
-         "error: argument --reps: must be >= 1, got 0"),
+        (SIM + ["--reps", "0"], "error: argument --reps: must be >= 1, got 0"),
         (SIM + ["--T", "0"], "error: sparsity_t must be >= 1, got 0"),
-        (["bench-iters", "--n", "20", "--p", "10", "--K", "1:1:2", "--reps", "1", "--R", "0.5"],
-         "error: range_ratio must exceed 1"),
-        (["bench-iters", "--n", "0", "--p", "10", "--K", "1:1:2", "--reps", "1"],
-         "error: n and p must be positive"),
-        (["bench-iters", "--n", "20", "--p", "0", "--K", "1:1:2", "--reps", "1"],
-         "error: n and p must be positive"),
-        (["bench-iters", "--n", "20", "--p", "10", "--K", "2", "--reps", "1", "--R", "inf"],
-         "error: range_ratio must be finite, got inf"),
-        (["bench-iters", "--n", "20", "--p", "10", "--K", "2", "--reps", "1", "--R", "nan"],
-         "error: range_ratio must be finite, got nan"),
     ],
-    ids=["tau", "split", "theta", "reps", "T", "R", "n", "p", "R-inf", "R-nan"],
+    ids=["tau", "split", "theta", "reps", "T"],
 )
 def test_a_bad_flag_shared_by_every_cell_exits_one(argv, message, capsys):
     # checked once before the first cell, not reported as a failed row per cell
@@ -630,6 +625,22 @@ def test_simulate_is_byte_deterministic(capsys):
     assert first == second
 
 
+def test_simulate_gives_the_same_bytes_under_one_and_two_blas_threads():
+    # a threaded BLAS may split a reduction differently; no product the CLI
+    # computes may depend on how many threads it runs on
+    argv = ["simulate", "--scheme", "ar1", "--n", "300", "--p", "600", "--K", "4",
+            "--rho", "0.5", "--solver", "agsdar", "--Q", "8", "--reps", "2"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)),
+                   OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-m", "sdar_glm", *argv],
+                              env=env, capture_output=True, check=False)
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_records_invalid_cells_without_dying(capsys):
     argv = [
         "simulate", "--scheme", "ar1", "--n", "40", "--p", "10", "--K", "2:18:20",
@@ -688,20 +699,45 @@ def test_simulate_exits_two_when_every_cell_is_invalid(capsys):
     assert len(rows) == 1 and "k must lie" in rows[0][-1]
 
 
-# --- bench-iters -------------------------------------------------------------
+# (K, rho) -> (iters_avg, rep_failures, error) of each cell, as the removed
+# bench-iters command printed them for the same flags before simulate --scheme
+# ar1 replaced it; the first argv's rho = 1 cells are error rows
+BENCH_ITERS_CELLS = {
+    "grid": ("--n 20 --p 10 --K 2:9:11 --rho 0.5:0.5:1.0 --reps 2 --seed 3", {
+        ("2", "0.5"): ("1", "0", ""),
+        ("11", "0.5"): ("", "", "k must lie in [0, min(n, p)], got 11"),
+        ("2", "1"): ("", "", "the ar1 scheme needs rho in [0, 1)"),
+        ("11", "1"): ("", "", "k must lie in [0, min(n, p)], got 11"),
+    }),
+    "every-flag": ("--n 60 --p 40 --K 1:2:7 --rho 0.1:0.4:0.9 --R 5 --tau 0.7 --reps 4 --seed 3", {
+        ("1", "0.1"): ("1", "0", ""),
+        ("3", "0.1"): ("1", "0", ""),
+        ("5", "0.1"): ("1", "0", ""),
+        ("7", "0.1"): ("1", "0", ""),
+        ("1", "0.5"): ("1", "0", ""),
+        ("3", "0.5"): ("1", "0", ""),
+        ("5", "0.5"): ("1", "0", ""),
+        ("7", "0.5"): ("1", "0", ""),
+        ("1", "0.9"): ("1", "0", ""),
+        ("3", "0.9"): ("1", "0", ""),
+        ("5", "0.9"): ("1.5", "0", ""),
+        ("7", "0.9"): ("1.25", "0", ""),
+    }),
+}
 
-def test_bench_iters_reports_average_iterations(capsys):
-    code, out, _ = run_cli(
-        ["bench-iters", "--n", "60", "--p", "20", "--K", "1:1:2", "--reps", "2"],
-        capsys,
-    )
+
+@pytest.mark.parametrize("name", sorted(BENCH_ITERS_CELLS))
+def test_simulate_ar1_reports_the_iterations_bench_iters_did(name, capsys):
+    flags, recorded = BENCH_ITERS_CELLS[name]
+    code, out, _ = run_cli(["simulate", "--scheme", "ar1", *flags.split()], capsys)
     assert code == 0
     header, rows = csv_rows(out)
-    assert [r[3] for r in rows] == ["1", "2"]
+    cells = {}
     for row in rows:
         record = dict(zip(header, row))
-        assert record["error"] == ""
-        assert float(record["iters_avg"]) >= 1.0
+        cells[record["K"], record["rho"]] = (
+            record["iters_avg"], record["rep_failures"], record["error"])
+    assert cells == recorded
 
 
 # --- real-data ---------------------------------------------------------------
@@ -886,7 +922,7 @@ DATA_FLAGS = {"--n-features": ["0", "2", "6"],
 
 
 def draw_argv(draw, tmp_path):
-    command = draw(st.sampled_from(["fit", "path", "simulate", "bench-iters", "real-data"]))
+    command = draw(st.sampled_from(["fit", "path", "simulate", "real-data"]))
     family = ["--family", draw(st.sampled_from(["logistic", "gaussian"]))]
     if command == "fit":
         return ["fit", *family, "--data", draw_tiny_file(draw, tmp_path / "a.txt"),
@@ -906,27 +942,23 @@ def draw_argv(draw, tmp_path):
                                         "--train-size": ["0", "1", "3"],
                                         "--T": ["1", "2", "0"], "--seed": ["0", "5"]})
     # at most 2 replications (the default is 100) and sweeps of 2 values
-    replication = ["--reps", draw(st.sampled_from(["1", "2", "0"])), *draw_flags(draw, {
-        "--seed": ["0", "3"], "--tau": ["1", "0.5", "0"],
-        "--rho": ["0.3", "0:1:1", "-0.5", "1.5", "inf", "nan", "1e308"],
-        "--R": ["3", "0.5", "-1", "inf", "nan", "1e308"]})]
-    if command == "simulate":
-        return ["simulate", "--scheme", draw(st.sampled_from(["ar1", "banded"])),
-                "--n", draw(st.sampled_from(["8", "6:6:12", "0", "2"])),
-                "--p", draw(st.sampled_from(["3", "3:3:6", "0"])),
-                "--K", draw(st.sampled_from(["1", "1:1:2", "0", "5"])), *replication,
-                *draw_flags(draw, {"--solver": ["gsdar", "agsdar"], "--T": ["1", "3", "0"],
-                                   "--theta": ["1", "0"], "--Q": ["2", "0"],
-                                   "--split": ["0.5", "0", "1.5"]})]
-    return ["bench-iters", "--n", draw(st.sampled_from(["8", "0", "3"])),
-            "--p", draw(st.sampled_from(["3", "6", "0"])),
-            "--K", draw(st.sampled_from(["1", "1:1:2", "0", "4"])), *replication]
+    return ["simulate", "--scheme", draw(st.sampled_from(["ar1", "banded"])),
+            "--n", draw(st.sampled_from(["8", "6:6:12", "0", "2"])),
+            "--p", draw(st.sampled_from(["3", "3:3:6", "0"])),
+            "--K", draw(st.sampled_from(["1", "1:1:2", "0", "5"])),
+            "--reps", draw(st.sampled_from(["1", "2", "0"])),
+            *draw_flags(draw, {"--seed": ["0", "3"], "--tau": ["1", "0.5", "0"],
+                               "--rho": ["0.3", "0:1:1", "-0.5", "1.5", "inf", "nan", "1e308"],
+                               "--R": ["3", "0.5", "-1", "inf", "nan", "1e308"],
+                               "--solver": ["gsdar", "agsdar"], "--T": ["1", "3", "0"],
+                               "--theta": ["1", "0"], "--Q": ["2", "0"],
+                               "--split": ["0.5", "0", "1.5"]})]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_no_argv_escapes_as_a_traceback(tmp_path, capsys, data):
-    # tiny files and small sweeps over all five subcommands: every argv ends
+    # tiny files and small sweeps over all four subcommands: every argv ends
     # in exit code 0, 1 or 2 with at most one line of stderr, its error, or
     # in argparse's own exit; nothing else raises
     argv = draw_argv(data.draw, tmp_path)
@@ -952,9 +984,8 @@ def test_no_cell_float_escapes_as_a_traceback(capsys, data):
     # a cell that can be drawn, with only --R and --rho drawn from floats at
     # the edges, reaches the cell rules each time; each ends in exit 0, 1 or
     # 2 with stderr empty or one error line
-    command = data.draw(st.sampled_from([
-        ["simulate", "--scheme", "ar1"], ["simulate", "--scheme", "banded"], ["bench-iters"]]))
-    argv = [*command, "--n", "8", "--p", "4", "--K", "1", "--reps", "1"]
+    scheme = data.draw(st.sampled_from(["ar1", "banded"]))
+    argv = ["simulate", "--scheme", scheme, "--n", "8", "--p", "4", "--K", "1", "--reps", "1"]
     for flag in ("--R", "--rho"):
         if data.draw(st.booleans()):
             argv.append(f"{flag}={data.draw(st.sampled_from(CELL_FLOATS))}")

@@ -16,18 +16,6 @@ import pytest
 from sdar_glm.cli import build_parser
 
 SURFACE = {
-    "bench-iters": {
-        "K": (("--K",), "_StoreAction", None, True, None, None, None),
-        "R": (("--R",), "_StoreAction", 3.0, False, None, None, None),
-        "help": (("-h", "--help"), "_HelpAction", "==SUPPRESS==", False, None, 0, None),
-        "n": (("--n",), "_StoreAction", None, True, None, None, None),
-        "output": (("--output",), "_StoreAction", None, False, None, None, None),
-        "p": (("--p",), "_StoreAction", None, True, None, None, None),
-        "reps": (("--reps",), "_StoreAction", 100, False, None, None, None),
-        "rho": (("--rho",), "_StoreAction", [0.1], False, None, None, None),
-        "seed": (("--seed",), "_StoreAction", 0, False, None, None, None),
-        "tau": (("--tau",), "_StoreAction", 1.0, False, None, None, None),
-    },
     "fit": {
         "T": (("--T",), "_StoreAction", None, True, None, None, None),
         "data": (("--data",), "_StoreAction", None, True, None, None, None),
@@ -111,7 +99,6 @@ ARGV = {
     "fit": "fit --family logistic --data d.txt --T 2".split(),
     "path": "path --family gaussian --data d.txt".split(),
     "simulate": "simulate --scheme ar1 --n 50 --p 10:5:20 --K 2:2:6 --rho 0.1:0.2:0.5".split(),
-    "bench-iters": "bench-iters --n 60 --p 20 --K 1:1:2".split(),
     "real-data": "real-data --train t.txt".split(),
     "fit-all": (
         "fit --family gaussian --data d.txt --n-features 9 --standardize mean0var1 --T 3 "
@@ -126,10 +113,6 @@ ARGV = {
         "simulate --scheme banded --n 100:100:300 --p 40 --K 3 --rho 0.5 --R 2:1:4 "
         "--solver agsdar --T 4 --theta 2 --Q 9 --tau 0.5 --split 0.75 --reps 3 --seed 11 "
         "--output o.txt"
-    ).split(),
-    "bench-iters-all": (
-        "bench-iters --n 60 --p 20 --K 4 --rho 0.2:0.2:0.6 --R 5 --tau 0.5 --reps 3 "
-        "--seed 11 --output o.txt"
     ).split(),
     "real-data-all": (
         "real-data --family gaussian --train t.txt --test u.txt --train-size 20 "
@@ -156,10 +139,6 @@ NAMESPACES = {
         "rho": [0.1, 0.30000000000000004, 0.5], "scheme": "ar1", "seed": 0, "solver": "gsdar",
         "split": None, "tau": 1.0, "theta": 1,
     },
-    "bench-iters": {
-        "K": [1, 2], "R": 3.0, "command": "bench-iters", "func": "_cmd_bench_iters", "n": 60,
-        "output": None, "p": 20, "reps": 100, "rho": [0.1], "seed": 0, "tau": 1.0,
-    },
     "real-data": {
         "T": None, "command": "real-data", "family": "logistic", "func": "_cmd_real_data",
         "intercept": False, "max_outer_iters": 50, "n_features": None, "output": None, "seed": 0,
@@ -181,11 +160,6 @@ NAMESPACES = {
         "func": "_cmd_simulate", "n": [100, 200, 300], "output": "o.txt", "p": [40], "reps": 3,
         "rho": [0.5], "scheme": "banded", "seed": 11, "solver": "agsdar", "split": 0.75,
         "tau": 0.5, "theta": 2,
-    },
-    "bench-iters-all": {
-        "K": [4], "R": 5.0, "command": "bench-iters", "func": "_cmd_bench_iters", "n": 60,
-        "output": "o.txt", "p": 20, "reps": 3, "rho": [0.2, 0.4, 0.6000000000000001], "seed": 11,
-        "tau": 0.5,
     },
     "real-data-all": {
         "T": 3, "command": "real-data", "family": "gaussian", "func": "_cmd_real_data",

@@ -339,18 +339,12 @@ CLI_CELL_CASES = {
     "simulate-all-invalid": [
         "simulate", "--scheme", "ar1", "--n", "5", "--p", "20", "--K", "10", "--reps", "2",
     ],
-    "bench-iters-grid": [
-        "bench-iters", "--n", "20", "--p", "10", "--K", "2:9:11", "--rho", "0.5:0.5:1.0",
-        "--reps", "2", "--seed", "3",
-    ],
-    "bench-iters-all-invalid": ["bench-iters", "--n", "5", "--p", "3", "--K", "4", "--reps", "1"],
 }
 
 # argv whose every replication fails (the solver is replaced by one that raises)
 CLI_FAILING_CASES = {
     "simulate-reps-fail": ["simulate", "--scheme", "ar1", "--n", "30", "--p", "8", "--K", "2",
                            "--reps", "2"],
-    "bench-iters-reps-fail": ["bench-iters", "--n", "30", "--p", "8", "--K", "2", "--reps", "2"],
 }
 
 # (exit code, SHA-256 of stdout), recorded before simulate and bench-iters
@@ -359,10 +353,7 @@ GOLDEN_CLI_CELLS = {
     "simulate-ar1-grid": (0, "39ca00ce0ed91ca1aa71c52d6586e2903a74f5dfc0aa5c28416530c34043922d"),
     "simulate-banded-path-split": (0, "ce648491f277ad5a2db43ad842e9f6163edaf9960eb59866698e3ae9841d56b2"),
     "simulate-all-invalid": (2, "6306cd2d604ab775e3ef1c2dff24baba68b5ee54c300c72059f2da8ba026999f"),
-    "bench-iters-grid": (0, "96345ac3af493fab3ba967ef8d33e8cb3671755367695255a6d3d4cb8a72741a"),
-    "bench-iters-all-invalid": (2, "404d06f8486663908fdfa8f20b4740e0f41ab8b9c903d8f1d5d6f8002ae9788e"),
     "simulate-reps-fail": (2, "0b67094055b2851027e890e5469aacd34892fddf8582cb0a1ce9d0ddf49a227a"),
-    "bench-iters-reps-fail": (2, "37caf67d75489868fec26b0ca4041954281fd97b525d4fd2c8f3e97e473ce24b"),
 }
 
 

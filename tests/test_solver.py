@@ -13,7 +13,7 @@ from scipy.special import expit
 import sdar_glm as sg
 from sdar_glm.families import gradient, negative_log_likelihood, weighted_gram
 from sdar_glm.rng import make_rng
-from sdar_glm.solver import _solve_newton_system, restricted_mle
+from sdar_glm.solver import FIT_FAILURES, _solve_newton_system, restricted_mle
 
 from helpers import (
     count_finite_scans,
@@ -21,6 +21,8 @@ from helpers import (
     logistic_instance,
     newton_solve_reference,
     orthogonal_design,
+    PROBE_SIZE,
+    probe_problem,
     sdar_iterates,
 )
 
@@ -720,3 +722,47 @@ def test_termination_labels_are_stable():
     assert sg.Termination.SUPPORT_STATIONARY.value == "support_stationary"
     assert sg.Termination.MAX_ITERS.value == "max_iters"
     assert sg.Termination.CYCLE_DETECTED.value == "cycle_detected"
+
+
+# --- invariant ledger --------------------------------------------------------
+
+# what the fits of the fixed probe set do that a fit should not, as counts,
+# recorded when the probe set was first drawn; a change that mends one of
+# these defects lands with its new counts
+LEDGER = {
+    "stationary": 2918,
+    "stationary, certificate > 1e-6": 493,
+    "stationary, certificate > 1e-6, logistic at the cap": 493,
+    "cycle_detected, gaussian": 80,
+    "cycle_detected, logistic": 2,
+    "phantom: fewer nonzeros than |support|": 2,
+    "logistic at the cap": 672,
+    "failed": 0,
+    "max_iters": 0,
+}
+
+
+def test_probe_set_keeps_its_invariant_ledger():
+    counts = dict.fromkeys(LEDGER, 0)
+    for i in range(PROBE_SIZE):
+        family, data, cfg = probe_problem(i)
+        try:
+            fit = sg.gsdar_fit(family, data, cfg)
+        except FIT_FAILURES:
+            counts["failed"] += 1
+            continue
+        capped = family is sg.LOGISTIC and max(
+            np.abs(fit.beta_hat).max(), abs(fit.intercept)) == sg.SdarConfig.coef_cap
+        counts["logistic at the cap"] += capped
+        counts["phantom: fewer nonzeros than |support|"] += (
+            np.count_nonzero(fit.beta_hat) < fit.support.size)
+        if fit.termination is sg.Termination.SUPPORT_STATIONARY:
+            counts["stationary"] += 1
+            uncertified = fit.kkt_residual > 1e-6
+            counts["stationary, certificate > 1e-6"] += uncertified
+            counts["stationary, certificate > 1e-6, logistic at the cap"] += uncertified and capped
+        elif fit.termination is sg.Termination.CYCLE_DETECTED:
+            counts[f"cycle_detected, {family.name}"] += 1
+        else:
+            counts["max_iters"] += 1
+    assert counts == LEDGER
