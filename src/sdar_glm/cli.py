@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: fit, path, simulate, real-data.  Every run is a batch job
+Subcommands: fit, path, simulate.  Every run is a batch job
 whose output is fully determined by its arguments: same argv, same bytes.
 CSV outputs start with the schema comment line.  Exit codes: 0 success,
 1 usage or input parsing problem, 2 solver failure.
@@ -157,9 +157,24 @@ def _prepare(data, family, standardize) -> Dataset:
 
 
 def _cmd_fit(args) -> int:
+    """One fit at sparsity level T on --data, optionally scored on held-out
+    rows: a --test file (both padded to the wider p) or the rows that
+    --train-size leaves out of --data."""
+    if args.test is not None and args.train_size is not None:
+        raise UsageError("give at most one of --test and --train-size")
     family = get_family(args.family)
-    data = _prepare(read_libsvm(args.data, n_features=args.n_features), family, args.standardize)
-    fit = gsdar_fit(family, data, _solver_config(args, args.T))
+    data = read_libsvm(args.data, n_features=args.n_features)
+    test = None if args.test is None else read_libsvm(args.test, n_features=args.n_features)
+    p = max(data.p, test.p if test is not None else 0)
+    data = _prepare(pad_features(data, p), family, args.standardize)
+    if test is not None:
+        test = _prepare(pad_features(test, p), family, args.standardize)
+    if args.train_size is not None:
+        data, test = train_test_split(data, train_size=args.train_size, seed=args.seed)
+    t = args.T
+    if t is None:  # floor(0.5 n / log n), at least 1; log 1 = 0
+        t = max(1, int(0.5 * data.n / math.log(data.n))) if data.n > 1 else 1
+    fit = gsdar_fit(family, data, _solver_config(args, t))
     lines = [
         SCHEMA_LINE,
         "command: fit",
@@ -167,7 +182,7 @@ def _cmd_fit(args) -> int:
         f"data: {args.data}",
         f"n: {data.n}",
         f"p: {data.p}",
-        f"T: {args.T}",
+        f"T: {t}",
         f"termination: {fit.termination.value}",
         f"iterations: {fit.iters}",
         f"nll: {_fmt(fit.nll)}",
@@ -175,8 +190,14 @@ def _cmd_fit(args) -> int:
         f"intercept: {_fmt(fit.intercept)}",
         "support_1based: " + " ".join(str(int(i) + 1) for i in fit.support),
     ]
+    if args.test is not None:
+        lines.append(f"test: {args.test}")
+    if test is not None:
+        lines.append(f"n_test: {test.n}")
     if family.name == "logistic":
         lines.append(f"train_accuracy: {_fmt(fit_accuracy(fit, data))}")
+        if test is not None and test.n > 0:
+            lines.append(f"test_accuracy: {_fmt(fit_accuracy(fit, test))}")
     for i in fit.support:
         lines.append(f"coef[{int(i) + 1}]: {_fmt(float(fit.beta_hat[i]))}")
     _write_output("\n".join(lines) + "\n", args.output)
@@ -260,58 +281,21 @@ def _cmd_simulate(args) -> int:
     return 0 if any_ok else 2
 
 
-def _cmd_real_data(args) -> int:
-    if args.test is not None and args.train_size is not None:
-        raise UsageError("give at most one of --test and --train-size")
-    family = get_family(args.family)
-    train = read_libsvm(args.train, n_features=args.n_features)
-    test = None if args.test is None else read_libsvm(args.test, n_features=args.n_features)
-    p = max(train.p, test.p if test is not None else 0)
-    train = _prepare(pad_features(train, p), family, args.standardize)
-    if test is not None:
-        test = _prepare(pad_features(test, p), family, args.standardize)
-    if args.train_size is not None:
-        train, test = train_test_split(train, train_size=args.train_size, seed=args.seed)
-
-    n_train = train.n
-    t = args.T
-    if t is None:  # floor(0.5 n / log n), at least 1; log 1 = 0
-        t = max(1, int(0.5 * n_train / math.log(n_train))) if n_train > 1 else 1
-    fit = gsdar_fit(family, train, _solver_config(args, t))
-    train_acc = fit_accuracy(fit, train) if family.name == "logistic" else None
-    test_acc = (
-        fit_accuracy(fit, test)
-        if (family.name == "logistic" and test is not None and test.n > 0)
-        else None
-    )
-    header = ["train", "test", "n_train", "n_test", "p", "T", "termination", "iters",
-              "nll", "kkt_residual", "train_accuracy", "test_accuracy"]
-    rows = [[
-        args.train,
-        args.test or "",
-        n_train,
-        test.n if test is not None else 0,
-        p,
-        t,
-        fit.termination.value,
-        fit.iters,
-        fit.nll,
-        fit.kkt_residual,
-        train_acc,
-        test_acc,
-    ]]
-    _write_output(_csv_text(header, rows), args.output)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sdar-glm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     int_sweep = partial(parse_sweep, cast=int)
+    nonnegative_int = _checked(int, lambda s: s >= 0, "be >= 0")
 
     fit = subs.add_parser("fit", help="fit one model at a fixed sparsity level")
     _add_data_flags(fit)
-    fit.add_argument("--T", type=int, required=True, help="active-set cardinality")
+    fit.add_argument("--T", type=int, default=None,
+                     help="active-set cardinality (default: floor(0.5 n / log n))")
+    fit.add_argument("--test", default=None, help="held-out LIBSVM file")
+    fit.add_argument("--train-size", type=int, default=None,
+                     help="fit on this many random rows of --data, score the rest")
+    fit.add_argument("--seed", type=nonnegative_int, default=0,
+                     help="seed of the --train-size split")
     _add_solver_flags(fit)
     fit.set_defaults(func=_cmd_fit)
 
@@ -346,23 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None, help="train fraction; accuracy scores the held-out rest")
     sim.add_argument("--tau", type=float, default=1.0)
     sim.add_argument("--reps", type=_checked(int, lambda r: r >= 1, "be >= 1"), default=100)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=nonnegative_int, default=0)
     sim.set_defaults(func=_cmd_simulate)
-
-    real = subs.add_parser("real-data", help="end-to-end pipeline on LIBSVM files")
-    real.add_argument("--family", choices=["logistic", "gaussian"], default="logistic")
-    real.add_argument("--train", required=True, help="training LIBSVM file")
-    real.add_argument("--test", default=None, help="optional test LIBSVM file")
-    real.add_argument("--train-size", type=int, default=None,
-                      help="randomly hold out the rest of --train as a test set")
-    real.add_argument("--n-features", type=int, default=None)
-    real.add_argument("--standardize", choices=["none", MODE_MEAN_VAR, MODE_LENGTH],
-                      default="none", help="applied per file after reading")
-    real.add_argument("--T", type=int, default=None,
-                      help="sparsity level (default: floor(0.5 n / log n))")
-    _add_solver_flags(real)
-    real.add_argument("--seed", type=int, default=0)
-    real.set_defaults(func=_cmd_real_data)
 
     for sub in subs.choices.values():
         sub.add_argument("--output", default=None)

@@ -86,6 +86,8 @@ class SimConfig:
             raise ValueError("n and p must be positive")
         if not 0 <= self.k <= min(self.n, self.p):
             raise ValueError(f"k must lie in [0, min(n, p)], got {self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.scheme == SCHEME_BANDED:
             _check_banded(self.n, self.p, self.rho)
         else:

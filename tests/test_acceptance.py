@@ -6,8 +6,6 @@ Two thresholds are currently not met by the implementation and are marked
 xfail rather than weakened; their tests still print the measured numbers.
 """
 
-import csv
-import io
 import math
 import os
 import pathlib
@@ -44,11 +42,11 @@ def dataset_file(stem: str) -> str | None:
     return str(hits[0]) if hits else None
 
 
-def csv_record(text: str) -> dict:
+def fit_record(text: str) -> dict:
+    """The `key: value` lines of a `fit` output."""
     lines = text.splitlines()
     assert lines[0] == SCHEMA_LINE
-    header, row = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
-    return dict(zip(header, row))
+    return dict(line.split(": ", 1) for line in lines[1:])
 
 
 # -- C1: every stationary fit carries a machine-tight certificate -------------
@@ -248,7 +246,7 @@ def test_c07_held_out_accuracy():
 # -- C8: real-data pipeline ----------------------------------------------------
 
 def run_real_data(argv, capsys):
-    code = main(["real-data"] + argv)
+    code = main(["fit", "--family", "logistic"] + argv)
     out = capsys.readouterr().out
     return code, out
 
@@ -259,11 +257,11 @@ def test_c08_colon_training_accuracy(capsys):
         verdict("C8 colon training accuracy", True,
                 "skipped: no colon dataset under $SDAR_GLM_DATA or ./data")
         pytest.skip("colon dataset not present")
-    code, out = run_real_data(["--train", path], capsys)
+    code, out = run_real_data(["--data", path], capsys)
     assert code == 0
-    record = csv_record(out)
+    record = fit_record(out)
     acc = float(record["train_accuracy"])
-    n_train = int(record["n_train"])
+    n_train = int(record["n"])
     expected_t = max(1, int(0.5 * n_train / math.log(n_train)))
     ok = acc >= 0.90 and record["T"] == str(expected_t)
     verdict(
@@ -281,9 +279,9 @@ def test_c08_pipeline_stand_in(tmp_path, capsys):
     data, _, _ = logistic_instance(8, 62, 2000, 5)
     path = tmp_path / "standin.txt"
     sg.write_libsvm(sg.Dataset(data.X, 2.0 * data.y - 1.0), str(path))
-    code, out = run_real_data(["--train", str(path)], capsys)
+    code, out = run_real_data(["--data", str(path)], capsys)
     assert code == 0
-    record = csv_record(out)
+    record = fit_record(out)
     acc = float(record["train_accuracy"])
     ok = record["T"] == "7" and acc >= 0.90
     verdict(
@@ -302,8 +300,8 @@ def test_c08_extra_datasets_run_end_to_end(stem, capsys):
         verdict(f"C8 {stem} end-to-end", True,
                 f"skipped: no {stem} dataset under $SDAR_GLM_DATA or ./data")
         pytest.skip(f"{stem} dataset not present")
-    code, out = run_real_data(["--train", path], capsys)
-    record = csv_record(out)
+    code, out = run_real_data(["--data", path], capsys)
+    record = fit_record(out)
     verdict(f"C8 {stem} end-to-end", code == 0,
             f"exit {code}, termination {record.get('termination', '?')}")
     assert code == 0  # ungated beyond finishing without error

@@ -155,7 +155,6 @@ def test_fit_output_is_byte_deterministic_and_file_matches_stdout(tmp_path, caps
     [
         ["path", "--family", "logistic", "--data", "TRAIN", "--Q", "3"],
         ["simulate", "--scheme", "ar1", "--n", "50", "--p", "12", "--K", "1:1:2", "--reps", "2"],
-        ["real-data", "--train", "TRAIN", "--train-size", "40"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -177,7 +176,6 @@ def test_output_file_matches_stdout(tmp_path, capsys, argv):
         ["fit", "--family", "logistic", "--data", "TRAIN", "--T", "1"],
         ["path", "--family", "logistic", "--data", "TRAIN", "--Q", "3"],
         ["simulate", "--scheme", "ar1", "--n", "50", "--p", "12", "--K", "2", "--reps", "1"],
-        ["real-data", "--train", "TRAIN", "--train-size", "40"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -229,7 +227,7 @@ def test_gaussian_fit_reports_no_accuracy(tmp_path, capsys):
     [
         [],
         ["frobnicate"],
-        ["fit", "--family", "logistic", "--data", "x.txt"],         # missing --T
+        ["fit", "--family", "logistic", "--T", "1"],                 # missing --data
         ["fit", "--family", "poisson", "--data", "x.txt", "--T", "1"],
     ],
 )
@@ -237,6 +235,22 @@ def test_usage_problems_exit_one(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_real_data_is_not_a_command(capsys):
+    # fit --data runs the same pipeline, held-out options included
+    code, out, err = run_cli(["real-data", "--train", "x.txt", "--train-size", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: argument command: invalid choice: 'real-data'")
+
+
+def test_fit_rejects_a_negative_seed_before_reading(capsys):
+    # the parser names the flag; x.txt is never opened
+    argv = ["fit", "--family", "logistic", "--data", "x.txt", "--train-size", "3", "--seed", "-1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: argument --seed: must be >= 0, got -1"]
 
 
 def test_bench_iters_is_not_a_command(capsys):
@@ -258,8 +272,9 @@ SIM = ["simulate", "--scheme", "ar1", "--n", "20", "--p", "10", "--K", "2", "--r
         (SIM + ["--solver", "agsdar", "--theta", "0"], "error: increment_theta must be >= 1, got 0"),
         (SIM + ["--reps", "0"], "error: argument --reps: must be >= 1, got 0"),
         (SIM + ["--T", "0"], "error: sparsity_t must be >= 1, got 0"),
+        (SIM + ["--seed", "-1"], "error: argument --seed: must be >= 0, got -1"),
     ],
-    ids=["tau", "split", "theta", "reps", "T"],
+    ids=["tau", "split", "theta", "reps", "T", "seed"],
 )
 def test_a_bad_flag_shared_by_every_cell_exits_one(argv, message, capsys):
     # checked once before the first cell, not reported as a failed row per cell
@@ -740,16 +755,16 @@ def test_simulate_ar1_reports_the_iterations_bench_iters_did(name, capsys):
     assert cells == recorded
 
 
-# --- real-data ---------------------------------------------------------------
+# --- fit on held-out rows: the real-data pipeline -----------------------------
 
 def test_real_data_splits_and_defaults_the_sparsity_level(tmp_path, capsys):
     train_path = planted_file(tmp_path, labels01=False)  # exercise -1/+1 mapping
-    argv = ["real-data", "--train", train_path, "--train-size", "30"]
+    argv = ["fit", "--family", "logistic", "--data", train_path, "--train-size", "30"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    header, rows = csv_rows(out)
-    record = dict(zip(header, rows[0]))
-    assert record["n_train"] == "30" and record["n_test"] == "50"
+    record = fit_lines(out)
+    assert record["n"] == "30" and record["n_test"] == "50"
+    assert "test" not in record  # the held-out rows come from --data
     assert record["T"] == str(max(1, int(0.5 * 30 / math.log(30))))
     assert record["T"] == "4"
     assert 0.0 <= float(record["train_accuracy"]) <= 1.0
@@ -759,32 +774,74 @@ def test_real_data_splits_and_defaults_the_sparsity_level(tmp_path, capsys):
     assert again == out
 
 
+def narrow_test_file(tmp_path, n=20):
+    """An n x 4 file with {0, 1} labels, narrower than planted_file's 6 columns."""
+    rng = make_rng(23)
+    test = sg.Dataset(rng.standard_normal((n, 4)), (rng.random(n) < 0.5).astype(float))
+    path = tmp_path / "test.txt"
+    sg.write_libsvm(test, str(path))
+    return str(path)
+
+
 def test_real_data_pads_a_narrower_test_file(tmp_path, capsys):
     train_path = planted_file(tmp_path)
-    rng = make_rng(23)
-    test = sg.Dataset(rng.standard_normal((20, 4)), (rng.random(20) < 0.5).astype(float))
-    test_path = tmp_path / "test.txt"
-    sg.write_libsvm(test, str(test_path))
-
+    test_path = narrow_test_file(tmp_path)
     code, out, _ = run_cli(
-        ["real-data", "--train", train_path, "--test", str(test_path), "--T", "2"],
+        ["fit", "--family", "logistic", "--data", train_path, "--test", test_path, "--T", "2"],
         capsys,
     )
     assert code == 0
-    header, rows = csv_rows(out)
-    record = dict(zip(header, rows[0]))
+    record = fit_lines(out)
     assert record["p"] == "6"  # test columns padded up to the training width
+    assert record["test"] == test_path
     assert record["n_test"] == "20"
     assert record["test_accuracy"] != ""
+
+
+# the values the removed real-data command printed in its CSV row for the same
+# planted file (planted_file's arguments) and flags, keyed by fit's names
+# (real-data's n_train is n, its iters is iterations); "" marks a value it
+# left blank, which fit does not print
+REAL_DATA_ROWS = {
+    "train-size": ({"labels01": False}, ["--train-size", "30"], {
+        "n": "30", "n_test": "50", "p": "6", "T": "4", "termination": "support_stationary",
+        "iterations": "1", "nll": "0.2790978746", "kkt_residual": "1.260040072e-09",
+        "train_accuracy": "0.8333333333", "test_accuracy": "0.86"}),
+    "test-file": ({}, ["--test", "TEST", "--T", "2"], {
+        "n": "80", "n_test": "20", "p": "6", "T": "2", "termination": "support_stationary",
+        "iterations": "1", "nll": "0.322472567", "kkt_residual": "1.400533023e-10",
+        "train_accuracy": "0.8625", "test_accuracy": "0.35"}),
+    "one-row": ({"n": 1}, [], {
+        "n": "1", "n_test": "0", "p": "6", "T": "1", "termination": "support_stationary",
+        "iterations": "1", "nll": "4.573923462e-09", "kkt_residual": "5.477335918e-09",
+        "train_accuracy": "1", "test_accuracy": ""}),
+    "gaussian": ({}, ["--family", "gaussian", "--standardize", "length-sqrt-n",
+                      "--test", "TEST", "--T", "2"], {
+        "n": "80", "n_test": "20", "p": "6", "T": "2", "termination": "support_stationary",
+        "iterations": "1", "nll": "0.1935205711", "kkt_residual": "2.775557562e-16",
+        "train_accuracy": "", "test_accuracy": ""}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_DATA_ROWS))
+def test_fit_prints_what_real_data_did(tmp_path, capsys, name):
+    planted, flags, recorded = REAL_DATA_ROWS[name]
+    data_path = planted_file(tmp_path, **planted)
+    flags = [narrow_test_file(tmp_path) if arg == "TEST" else arg for arg in flags]
+    family = [] if "--family" in flags else ["--family", "logistic"]
+    code, out, _ = run_cli(["fit", *family, "--data", data_path, *flags], capsys)
+    assert code == 0
+    record = fit_lines(out)
+    printed = {key: record.get(key, "") for key in recorded}
+    if "n_test" not in record:  # no held-out set: real-data printed 0
+        printed["n_test"] = "0"
+    assert printed == recorded
 
 
 def held_out_argv(tmp_path, held_out):
     """--test with a 40 x 4 file (padded to 40 x 6), or --train-size 50."""
     if held_out == "test-file":
-        rng = make_rng(23)
-        test = sg.Dataset(rng.standard_normal((40, 4)), (rng.random(40) < 0.5).astype(float))
-        sg.write_libsvm(test, str(tmp_path / "test.txt"))
-        return ["--test", str(tmp_path / "test.txt")]
+        return ["--test", narrow_test_file(tmp_path, n=40)]
     return ["--train-size", "50"]
 
 
@@ -798,7 +855,8 @@ def test_real_data_checks_each_design_for_finiteness_once(tmp_path, capsys, monk
     train_path = planted_file(tmp_path)  # 80 x 6
     split = held_out_argv(tmp_path, held_out)
     scans = count_design_scans(monkeypatch)
-    code, _, _ = run_cli(["real-data", "--train", train_path, *split, "--T", "2"], capsys)
+    argv = ["fit", "--family", "logistic", "--data", train_path, *split, "--T", "2"]
+    code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert scans == []  # the reader checked each value; padding and splits add none
 
@@ -808,7 +866,7 @@ def test_real_data_scans_each_standardized_design_once(tmp_path, capsys, monkeyp
     train_path = planted_file(tmp_path)  # 80 x 6
     split = held_out_argv(tmp_path, held_out)
     scans = count_design_scans(monkeypatch)
-    argv = ["real-data", "--train", train_path, *split, "--T", "2",
+    argv = ["fit", "--family", "logistic", "--data", train_path, *split, "--T", "2",
             "--standardize", "length-sqrt-n"]  # the padded zero columns stay zero
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
@@ -822,12 +880,11 @@ def test_real_data_defaults_the_sparsity_level_to_one_on_one_training_row(
 ):
     # floor(0.5 n / log n) has log 1 = 0 in its denominator at n = 1
     train_path = planted_file(tmp_path, n=1 if not split else 80)
-    argv = ["real-data", "--train", train_path, *split]
+    argv = ["fit", "--family", "logistic", "--data", train_path, *split]
     code, out, err = run_cli(argv, capsys)
     assert code == 0, err
-    header, rows = csv_rows(out)
-    record = dict(zip(header, rows[0]))
-    assert record["n_train"] == "1" and record["T"] == "1"
+    record = fit_lines(out)
+    assert record["n"] == "1" and record["T"] == "1"
     assert run_cli(argv + ["--T", "1"], capsys)[1] == out
 
 
@@ -842,7 +899,8 @@ def test_real_data_defaults_the_sparsity_level_to_one_on_one_training_row(
 def test_real_data_takes_a_zero_train_size_as_given(tmp_path, capsys, split, message):
     train_path = planted_file(tmp_path, n=6)
     split = [train_path if arg == "TRAIN" else arg for arg in split]
-    code, out, err = run_cli(["real-data", "--train", train_path, *split], capsys)
+    code, out, err = run_cli(["fit", "--family", "logistic", "--data", train_path, *split],
+                             capsys)
     assert code == 1 and out == ""
     assert err.splitlines() == [message]
 
@@ -858,7 +916,8 @@ def test_real_data_takes_a_zero_train_size_as_given(tmp_path, capsys, split, mes
 )
 def test_real_data_takes_an_empty_test_path_as_given(tmp_path, capsys, split, message):
     train_path = planted_file(tmp_path, n=6)
-    code, out, err = run_cli(["real-data", "--train", train_path, *split], capsys)
+    code, out, err = run_cli(["fit", "--family", "logistic", "--data", train_path, *split],
+                             capsys)
     assert code == 1 and out == ""
     assert err.splitlines() == [message]
 
@@ -866,7 +925,7 @@ def test_real_data_takes_an_empty_test_path_as_given(tmp_path, capsys, split, me
 def test_real_data_rejects_both_split_styles(tmp_path, capsys):
     train_path = planted_file(tmp_path)
     code, _, err = run_cli(
-        ["real-data", "--train", train_path, "--test", train_path,
+        ["fit", "--family", "logistic", "--data", train_path, "--test", train_path,
          "--train-size", "10"],
         capsys,
     )
@@ -922,32 +981,29 @@ DATA_FLAGS = {"--n-features": ["0", "2", "6"],
 
 
 def draw_argv(draw, tmp_path):
-    command = draw(st.sampled_from(["fit", "path", "simulate", "real-data"]))
+    command = draw(st.sampled_from(["fit", "path", "simulate"]))
     family = ["--family", draw(st.sampled_from(["logistic", "gaussian"]))]
     if command == "fit":
-        return ["fit", *family, "--data", draw_tiny_file(draw, tmp_path / "a.txt"),
-                "--T", draw(st.sampled_from(["1", "2", "0", "9"])),
-                *draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS})]
+        argv = ["fit", *family, "--data", draw_tiny_file(draw, tmp_path / "a.txt")]
+        if draw(st.booleans()):
+            argv += ["--test", draw_tiny_file(draw, tmp_path / "b.txt")]
+        return argv + draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS,
+                                        "--T": ["1", "2", "0", "9"],
+                                        "--train-size": ["0", "1", "3"],
+                                        "--seed": ["0", "5", "-1"]})
     if command == "path":
         return ["path", *family, "--data", draw_tiny_file(draw, tmp_path / "a.txt"),
                 *draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS, "--Q": ["0", "1", "3"],
                                    "--theta": ["1", "2", "0"], "--stop-nll": ["0.5", "nan"],
                                    "--stop-change": ["0.01", "nan"], "--cold-start": [None],
                                    "--full-path": [None]})]
-    if command == "real-data":
-        argv = ["real-data", *family, "--train", draw_tiny_file(draw, tmp_path / "a.txt")]
-        if draw(st.booleans()):
-            argv += ["--test", draw_tiny_file(draw, tmp_path / "b.txt")]
-        return argv + draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS,
-                                        "--train-size": ["0", "1", "3"],
-                                        "--T": ["1", "2", "0"], "--seed": ["0", "5"]})
     # at most 2 replications (the default is 100) and sweeps of 2 values
     return ["simulate", "--scheme", draw(st.sampled_from(["ar1", "banded"])),
             "--n", draw(st.sampled_from(["8", "6:6:12", "0", "2"])),
             "--p", draw(st.sampled_from(["3", "3:3:6", "0"])),
             "--K", draw(st.sampled_from(["1", "1:1:2", "0", "5"])),
             "--reps", draw(st.sampled_from(["1", "2", "0"])),
-            *draw_flags(draw, {"--seed": ["0", "3"], "--tau": ["1", "0.5", "0"],
+            *draw_flags(draw, {"--seed": ["0", "3", "-1"], "--tau": ["1", "0.5", "0"],
                                "--rho": ["0.3", "0:1:1", "-0.5", "1.5", "inf", "nan", "1e308"],
                                "--R": ["3", "0.5", "-1", "inf", "nan", "1e308"],
                                "--solver": ["gsdar", "agsdar"], "--T": ["1", "3", "0"],
@@ -958,7 +1014,7 @@ def draw_argv(draw, tmp_path):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_no_argv_escapes_as_a_traceback(tmp_path, capsys, data):
-    # tiny files and small sweeps over all four subcommands: every argv ends
+    # tiny files and small sweeps over all three subcommands: every argv ends
     # in exit code 0, 1 or 2 with at most one line of stderr, its error, or
     # in argparse's own exit; nothing else raises
     argv = draw_argv(data.draw, tmp_path)

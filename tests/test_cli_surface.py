@@ -10,6 +10,9 @@ a default, a choice or a type fails here.
 """
 
 import argparse
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -17,7 +20,7 @@ from sdar_glm.cli import build_parser
 
 SURFACE = {
     "fit": {
-        "T": (("--T",), "_StoreAction", None, True, None, None, None),
+        "T": (("--T",), "_StoreAction", None, False, None, None, None),
         "data": (("--data",), "_StoreAction", None, True, None, None, None),
         "family": (
             ("--family",), "_StoreAction", None, True, ("logistic", "gaussian"), None, None,
@@ -27,11 +30,14 @@ SURFACE = {
         "max_outer_iters": (("--max-outer-iters",), "_StoreAction", 50, False, None, None, None),
         "n_features": (("--n-features",), "_StoreAction", None, False, None, None, None),
         "output": (("--output",), "_StoreAction", None, False, None, None, None),
+        "seed": (("--seed",), "_StoreAction", 0, False, None, None, None),
         "standardize": (
             ("--standardize",), "_StoreAction", "none", False,
             ("none", "mean0var1", "length-sqrt-n"), None, None,
         ),
         "tau": (("--tau",), "_StoreAction", 1.0, False, None, None, None),
+        "test": (("--test",), "_StoreAction", None, False, None, None, None),
+        "train_size": (("--train-size",), "_StoreAction", None, False, None, None, None),
     },
     "path": {
         "Q": (("--Q",), "_StoreAction", None, False, None, None, None),
@@ -54,26 +60,6 @@ SURFACE = {
         "stop_nll": (("--stop-nll",), "_StoreAction", None, False, None, None, None),
         "tau": (("--tau",), "_StoreAction", 1.0, False, None, None, None),
         "theta": (("--theta",), "_StoreAction", 1, False, None, None, None),
-    },
-    "real-data": {
-        "T": (("--T",), "_StoreAction", None, False, None, None, None),
-        "family": (
-            ("--family",), "_StoreAction", "logistic", False, ("logistic", "gaussian"), None, None,
-        ),
-        "help": (("-h", "--help"), "_HelpAction", "==SUPPRESS==", False, None, 0, None),
-        "intercept": (("--intercept",), "_StoreTrueAction", False, False, None, 0, True),
-        "max_outer_iters": (("--max-outer-iters",), "_StoreAction", 50, False, None, None, None),
-        "n_features": (("--n-features",), "_StoreAction", None, False, None, None, None),
-        "output": (("--output",), "_StoreAction", None, False, None, None, None),
-        "seed": (("--seed",), "_StoreAction", 0, False, None, None, None),
-        "standardize": (
-            ("--standardize",), "_StoreAction", "none", False,
-            ("none", "mean0var1", "length-sqrt-n"), None, None,
-        ),
-        "tau": (("--tau",), "_StoreAction", 1.0, False, None, None, None),
-        "test": (("--test",), "_StoreAction", None, False, None, None, None),
-        "train": (("--train",), "_StoreAction", None, True, None, None, None),
-        "train_size": (("--train-size",), "_StoreAction", None, False, None, None, None),
     },
     "simulate": {
         "K": (("--K",), "_StoreAction", None, True, None, None, None),
@@ -99,10 +85,10 @@ ARGV = {
     "fit": "fit --family logistic --data d.txt --T 2".split(),
     "path": "path --family gaussian --data d.txt".split(),
     "simulate": "simulate --scheme ar1 --n 50 --p 10:5:20 --K 2:2:6 --rho 0.1:0.2:0.5".split(),
-    "real-data": "real-data --train t.txt".split(),
     "fit-all": (
         "fit --family gaussian --data d.txt --n-features 9 --standardize mean0var1 --T 3 "
-        "--tau 0.5 --max-outer-iters 7 --intercept --output o.txt"
+        "--test u.txt --train-size 20 --seed 11 --tau 0.5 --max-outer-iters 7 --intercept "
+        "--output o.txt"
     ).split(),
     "path-all": (
         "path --family logistic --data d.txt --n-features 9 --standardize length-sqrt-n "
@@ -114,18 +100,13 @@ ARGV = {
         "--solver agsdar --T 4 --theta 2 --Q 9 --tau 0.5 --split 0.75 --reps 3 --seed 11 "
         "--output o.txt"
     ).split(),
-    "real-data-all": (
-        "real-data --family gaussian --train t.txt --test u.txt --train-size 20 "
-        "--n-features 9 --standardize mean0var1 --T 3 --tau 0.5 --max-outer-iters 7 "
-        "--intercept --seed 11 --output o.txt"
-    ).split(),
 }
 
 NAMESPACES = {
     "fit": {
         "T": 2, "command": "fit", "data": "d.txt", "family": "logistic", "func": "_cmd_fit",
-        "intercept": False, "max_outer_iters": 50, "n_features": None, "output": None,
-        "standardize": "none", "tau": 1.0,
+        "intercept": False, "max_outer_iters": 50, "n_features": None, "output": None, "seed": 0,
+        "standardize": "none", "tau": 1.0, "test": None, "train_size": None,
     },
     "path": {
         "Q": None, "cold_start": False, "command": "path", "data": "d.txt", "family": "gaussian",
@@ -139,15 +120,10 @@ NAMESPACES = {
         "rho": [0.1, 0.30000000000000004, 0.5], "scheme": "ar1", "seed": 0, "solver": "gsdar",
         "split": None, "tau": 1.0, "theta": 1,
     },
-    "real-data": {
-        "T": None, "command": "real-data", "family": "logistic", "func": "_cmd_real_data",
-        "intercept": False, "max_outer_iters": 50, "n_features": None, "output": None, "seed": 0,
-        "standardize": "none", "tau": 1.0, "test": None, "train": "t.txt", "train_size": None,
-    },
     "fit-all": {
         "T": 3, "command": "fit", "data": "d.txt", "family": "gaussian", "func": "_cmd_fit",
-        "intercept": True, "max_outer_iters": 7, "n_features": 9, "output": "o.txt",
-        "standardize": "mean0var1", "tau": 0.5,
+        "intercept": True, "max_outer_iters": 7, "n_features": 9, "output": "o.txt", "seed": 11,
+        "standardize": "mean0var1", "tau": 0.5, "test": "u.txt", "train_size": 20,
     },
     "path-all": {
         "Q": 8, "cold_start": True, "command": "path", "data": "d.txt", "family": "logistic",
@@ -160,12 +136,6 @@ NAMESPACES = {
         "func": "_cmd_simulate", "n": [100, 200, 300], "output": "o.txt", "p": [40], "reps": 3,
         "rho": [0.5], "scheme": "banded", "seed": 11, "solver": "agsdar", "split": 0.75,
         "tau": 0.5, "theta": 2,
-    },
-    "real-data-all": {
-        "T": 3, "command": "real-data", "family": "gaussian", "func": "_cmd_real_data",
-        "intercept": True, "max_outer_iters": 7, "n_features": 9, "output": "o.txt", "seed": 11,
-        "standardize": "mean0var1", "tau": 0.5, "test": "u.txt", "train": "t.txt",
-        "train_size": 20,
     },
 }
 
@@ -194,3 +164,23 @@ def test_argv_parses_to_the_pinned_namespace(name):
     assert {k: repr(v) for k, v in ns.items()} == {
         k: repr(v) for k, v in NAMESPACES[name].items()
     }
+
+
+def _readme_commands():
+    """Each `sdar-glm ...` command of README's sh blocks, with lines that end
+    in a backslash joined to the next."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            re.MULTILINE | re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("sdar-glm "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_every_readme_command_parses():
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)  # a UsageError names the drifted flag

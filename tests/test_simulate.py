@@ -58,6 +58,7 @@ def test_ar1_bounds_are_one_to_range_ratio():
             {"n": 10, "p": 5, "k": 1, "range_ratio": math.nan, "scheme": sg.SCHEME_AR1},
             "range_ratio must be finite, got nan",
         ),
+        ({"n": 10, "p": 5, "k": 1, "seed": -1}, "^seed must be >= 0, got -1$"),
     ],
 )
 def test_sim_config_rejects_bad_values(kwargs, message):
