@@ -14,7 +14,7 @@ import io
 import itertools
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
 
@@ -35,6 +35,7 @@ from .path import AgsdarConfig, agsdar_fit
 from .simulate import (
     SCHEME_AR1,
     SCHEME_BANDED,
+    MetricReport,
     SimConfig,
     fit_accuracy,
     run_replications,
@@ -162,6 +163,8 @@ def _cmd_fit(args) -> int:
     --train-size leaves out of --data."""
     if args.test is not None and args.train_size is not None:
         raise UsageError("give at most one of --test and --train-size")
+    if args.seed is not None and args.train_size is None:
+        raise UsageError("--seed applies only to --train-size")
     family = get_family(args.family)
     data = read_libsvm(args.data, n_features=args.n_features)
     test = None if args.test is None else read_libsvm(args.test, n_features=args.n_features)
@@ -170,7 +173,7 @@ def _cmd_fit(args) -> int:
     if test is not None:
         test = _prepare(pad_features(test, p), family, args.standardize)
     if args.train_size is not None:
-        data, test = train_test_split(data, train_size=args.train_size, seed=args.seed)
+        data, test = train_test_split(data, args.train_size, seed=args.seed or 0)
     t = args.T
     if t is None:  # floor(0.5 n / log n), at least 1; log 1 = 0
         t = max(1, int(0.5 * data.n / math.log(data.n))) if data.n > 1 else 1
@@ -254,7 +257,7 @@ def _cmd_simulate(args) -> int:
     path_cfg = (AgsdarConfig(increment_theta=args.theta, max_support_q=args.Q, inner=inner)
                 if agsdar else None)
 
-    metrics = ["reerr", "acrp", "apdr", "afdr", "adr", "iters_avg"]
+    metrics = [f.name for f in fields(MetricReport) if f.name != "failures"]
     rows = []
     any_ok = False
     for n, p, k, rho, ratio in itertools.product(args.n, args.p, args.K, args.rho, args.R):
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--test", default=None, help="held-out LIBSVM file")
     fit.add_argument("--train-size", type=int, default=None,
                      help="fit on this many random rows of --data, score the rest")
-    fit.add_argument("--seed", type=nonnegative_int, default=0,
+    fit.add_argument("--seed", type=nonnegative_int, default=None,
                      help="seed of the --train-size split")
     _add_solver_flags(fit)
     fit.set_defaults(func=_cmd_fit)

@@ -657,25 +657,15 @@ def pad_features(data: Dataset, p: int) -> Dataset:
 
 
 def train_test_split(
-    data: Dataset,
-    train_fraction: float | None = None,
-    train_size: int | None = None,
-    seed: int | np.random.Generator = 0,
+    data: Dataset, train_size: int, seed: int | np.random.Generator = 0
 ) -> tuple[Dataset, Dataset]:
-    """Uniformly random row partition; give either a fraction or a count.
+    """Uniformly random row partition into train_size rows and the rest.
 
-    train_fraction = 1.0 yields an empty test set.  An empty train set is an
+    train_size = data.n yields an empty test set.  An empty train set is an
     error.  Row order within each part is ascending, so the same seed gives
     the same split bytes-for-bytes.
     """
-    if (train_fraction is None) == (train_size is None):
-        raise ValueError("give exactly one of train_fraction and train_size")
-    if train_fraction is not None:
-        if not 0.0 < train_fraction <= 1.0:
-            raise ValueError(f"train_fraction must lie in (0, 1], got {train_fraction}")
-        n_train = int(round(train_fraction * data.n))
-    else:
-        n_train = int(train_size)
+    n_train = int(train_size)
     if not 0 < n_train <= data.n:
         raise ValueError(f"train size {n_train} must lie in [1, {data.n}]")
     perm = as_rng(seed).permutation(data.n)

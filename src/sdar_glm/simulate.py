@@ -91,8 +91,7 @@ class SimConfig:
         if self.scheme == SCHEME_BANDED:
             _check_banded(self.n, self.p, self.rho)
         else:
-            if not 0.0 <= self.rho < 1.0:
-                raise ValueError("the ar1 scheme needs rho in [0, 1)")
+            _check_ar1(self.rho)
             if not 1.0 < self.range_ratio < math.inf:
                 raise ValueError(
                     "range_ratio must exceed 1" if self.range_ratio <= 1.0
@@ -137,6 +136,12 @@ def _check_banded(n: int, p: int, rho: float) -> None:
         )
 
 
+def _check_ar1(rho: float) -> None:
+    """The ar1 scheme's rule: rho in [0, 1) (see SimConfig).  NaN fails it."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("the ar1 scheme needs rho in [0, 1)")
+
+
 def gen_design_banded(
     n: int, p: int, rho: float, seed: int | np.random.Generator
 ) -> np.ndarray:
@@ -158,8 +163,7 @@ def gen_design_ar1(
     n: int, p: int, rho: float, seed: int | np.random.Generator
 ) -> np.ndarray:
     """Rows N(0, Sigma), Sigma_ij = rho^|i-j|, by the AR(1) recursion."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    _check_ar1(rho)
     rng = as_rng(seed)
     X = rng.standard_normal((n, p))
     X[:, 1:] *= math.sqrt(1.0 - rho * rho)
@@ -293,22 +297,24 @@ def run_replications(
 ) -> MetricReport:
     """Average the metrics over `reps` independent replications.
 
-    With train_fraction set, each replication fits on the train part and
-    scores accuracy on the held-out part; otherwise accuracy is in-sample.
+    With train_fraction in (0, 1], checked before any draw, each replication
+    fits on round(train_fraction * n) random rows and scores accuracy on the
+    rest; otherwise, or when no row is left, accuracy is in-sample.
     Solver failures are counted, not fatal; averages are over successes.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if train_fraction is not None and not 0.0 < train_fraction <= 1.0:
+        raise ValueError(f"train_fraction must lie in (0, 1], got {train_fraction}")
     base = sim.seed if seed is None else seed
     rows = []  # one score row per success, in MetricReport's field order
     for rep in range(reps):
         data, beta_star, support_star = generate_instance(sim, rep, base)
+        train, test = data, None
         if train_fraction is not None:
             train, test = train_test_split(
-                data, train_fraction=train_fraction, seed=make_rng(base, rep, 3)
+                data, int(round(train_fraction * data.n)), seed=make_rng(base, rep, 3)
             )
-        else:
-            train, test = data, None
         try:
             if isinstance(solver, AgsdarConfig):
                 fit = agsdar_fit(LOGISTIC, train, solver).selected_fit

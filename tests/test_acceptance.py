@@ -384,7 +384,7 @@ def test_c09_property_spot_checks(tmp_path):
     idx_data = sg.Dataset(
         np.arange(25, dtype=float).reshape(25, 1), np.zeros(25)
     )
-    tr, te = sg.train_test_split(idx_data, train_fraction=0.6, seed=4)
+    tr, te = sg.train_test_split(idx_data, 15, seed=4)
     ids = np.concatenate([tr.X[:, 0], te.X[:, 0]])
     checks.append(
         ("split partitions the rows",

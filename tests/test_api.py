@@ -3,6 +3,7 @@ simulations and the CLI run, and no export kept only for tests (their
 references live in tests/helpers.py)."""
 
 import importlib
+import inspect
 import types
 from dataclasses import fields
 
@@ -68,3 +69,10 @@ def test_a_solver_config_holds_only_the_options_a_caller_sets():
     )
     with pytest.raises(TypeError):
         sg.SdarConfig(sparsity_t=1, coef_cap=8.0)
+
+
+def test_a_split_takes_its_size_as_a_row_count_only():
+    # a fraction is run_replications' to turn into a count
+    assert tuple(inspect.signature(sg.train_test_split).parameters) == (
+        "data", "train_size", "seed",
+    )

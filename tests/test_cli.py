@@ -253,6 +253,24 @@ def test_fit_rejects_a_negative_seed_before_reading(capsys):
     assert err.splitlines() == ["error: argument --seed: must be >= 0, got -1"]
 
 
+def test_fit_takes_a_seed_only_for_a_train_size_split(tmp_path, capsys):
+    # like a flag of the other solver under simulate: refused, not dropped
+    train_path = planted_file(tmp_path)
+    argv = ["fit", "--family", "logistic", "--data", train_path, "--T", "2"]
+    code, out, err = run_cli(argv + ["--seed", "5"], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: --seed applies only to --train-size"]
+
+    code, out, err = run_cli(argv + ["--train-size", "40", "--seed", "5"], capsys)
+    assert (code, err) == (0, "")
+    record = fit_lines(out)
+    assert record["n"] == "40" and record["n_test"] == "40"
+    # without --seed the split draws with seed 0
+    _, seed0, _ = run_cli(argv + ["--train-size", "40", "--seed", "0"], capsys)
+    _, unseeded, _ = run_cli(argv + ["--train-size", "40"], capsys)
+    assert unseeded == seed0 != out
+
+
 def test_bench_iters_is_not_a_command(capsys):
     # simulate --scheme ar1 computes what it did
     code, out, err = run_cli(["bench-iters", "--n", "20", "--p", "10", "--K", "2"], capsys)

@@ -30,7 +30,7 @@ SURFACE = {
         "max_outer_iters": (("--max-outer-iters",), "_StoreAction", 50, False, None, None, None),
         "n_features": (("--n-features",), "_StoreAction", None, False, None, None, None),
         "output": (("--output",), "_StoreAction", None, False, None, None, None),
-        "seed": (("--seed",), "_StoreAction", 0, False, None, None, None),
+        "seed": (("--seed",), "_StoreAction", None, False, None, None, None),
         "standardize": (
             ("--standardize",), "_StoreAction", "none", False,
             ("none", "mean0var1", "length-sqrt-n"), None, None,
@@ -105,8 +105,8 @@ ARGV = {
 NAMESPACES = {
     "fit": {
         "T": 2, "command": "fit", "data": "d.txt", "family": "logistic", "func": "_cmd_fit",
-        "intercept": False, "max_outer_iters": 50, "n_features": None, "output": None, "seed": 0,
-        "standardize": "none", "tau": 1.0, "test": None, "train_size": None,
+        "intercept": False, "max_outer_iters": 50, "n_features": None, "output": None,
+        "seed": None, "standardize": "none", "tau": 1.0, "test": None, "train_size": None,
     },
     "path": {
         "Q": None, "cold_start": False, "command": "path", "data": "d.txt", "family": "gaussian",

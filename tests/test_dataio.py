@@ -765,7 +765,7 @@ def indexed_dataset(n):
 
 def test_split_partitions_the_rows():
     data = indexed_dataset(10)
-    train, test = sg.train_test_split(data, train_fraction=0.8, seed=3)
+    train, test = sg.train_test_split(data, 8, seed=3)
     assert train.n == 8 and test.n == 2
     ids = np.concatenate([train.X[:, 0], test.X[:, 0]])
     assert sorted(ids.tolist()) == list(range(10))
@@ -775,16 +775,11 @@ def test_split_partitions_the_rows():
     assert np.array_equal(test.y, 10.0 * test.X[:, 0])
 
 
-def test_split_rounds_the_fraction_to_the_nearest_count():
-    train, test = sg.train_test_split(indexed_dataset(5), train_fraction=0.5, seed=0)
-    assert (train.n, test.n) == (2, 3)  # round-half-to-even on 2.5
-
-
 def test_split_is_deterministic_per_seed():
     data = indexed_dataset(30)
-    a, _ = sg.train_test_split(data, train_fraction=0.5, seed=11)
-    b, _ = sg.train_test_split(data, train_fraction=0.5, seed=11)
-    c, _ = sg.train_test_split(data, train_fraction=0.5, seed=12)
+    a, _ = sg.train_test_split(data, 15, seed=11)
+    b, _ = sg.train_test_split(data, 15, seed=11)
+    c, _ = sg.train_test_split(data, 15, seed=12)
     assert np.array_equal(a.X, b.X)
     assert not np.array_equal(a.X, c.X)
 
@@ -793,22 +788,11 @@ def test_split_accepts_counts_and_full_fraction():
     data = indexed_dataset(6)
     train, test = sg.train_test_split(data, train_size=4, seed=1)
     assert (train.n, test.n) == (4, 2)
-    train, test = sg.train_test_split(data, train_fraction=1.0, seed=1)
+    train, test = sg.train_test_split(data, 6, seed=1)  # every row: the fraction 1.0
     assert (train.n, test.n) == (6, 0)
 
 
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({}, "exactly one"),
-        ({"train_fraction": 0.5, "train_size": 2}, "exactly one"),
-        ({"train_fraction": 0.0}, "train_fraction must lie"),
-        ({"train_fraction": 1.2}, "train_fraction must lie"),
-        ({"train_size": 0}, "train size"),
-        ({"train_size": 7}, "train size"),
-    ],
-)
-def test_split_validates_arguments(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        sg.train_test_split(indexed_dataset(6), **kwargs)
+@pytest.mark.parametrize("train_size", [0, 7])
+def test_split_validates_arguments(train_size):
+    with pytest.raises(ValueError, match=f"^train size {train_size} must lie in \\[1, 6\\]$"):
+        sg.train_test_split(indexed_dataset(6), train_size)

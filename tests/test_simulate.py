@@ -206,7 +206,7 @@ def test_design_generators_allocate_few_n_by_p_arrays(maker, bound):
 def test_design_validation():
     with pytest.raises(ValueError, match="p >= 3"):
         sg.gen_design_banded(10, 2, 0.1, 0)
-    with pytest.raises(ValueError, match="rho must lie"):
+    with pytest.raises(ValueError, match="ar1 scheme needs rho"):
         sg.gen_design_ar1(10, 4, 1.0, 0)
 
 
@@ -217,6 +217,16 @@ def test_banded_generator_refuses_the_rho_that_simconfig_refuses(rho):
         sg.SimConfig(n=10, p=4, k=1, rho=rho)
     with pytest.raises(ValueError, match="^rho must be nonnegative"):
         sg.gen_design_banded(10, 4, rho, 0)
+
+
+@pytest.mark.parametrize("rho", [1.0, -0.1, math.nan, math.inf])
+def test_ar1_generator_refuses_the_rho_that_simconfig_refuses(rho):
+    # one rule and one text for both, the text the CLI prints in a cell's row
+    message = r"^the ar1 scheme needs rho in \[0, 1\)$"
+    with pytest.raises(ValueError, match=message):
+        sg.SimConfig(n=10, p=4, k=1, rho=rho, scheme=sg.SCHEME_AR1)
+    with pytest.raises(ValueError, match=message):
+        sg.gen_design_ar1(10, 4, rho, 0)
 
 
 # --- coefficients and responses ----------------------------------------------
@@ -390,7 +400,7 @@ def test_run_replications_scores_on_the_held_out_part():
     report = sg.run_replications(sim, cfg, reps=1, train_fraction=0.75)
 
     data, _, _ = sg.generate_instance(sim, 0, 103)
-    train, test = sg.train_test_split(data, train_fraction=0.75, seed=make_rng(103, 0, 3))
+    train, test = sg.train_test_split(data, 90, seed=make_rng(103, 0, 3))  # 0.75 * 120 rows
     fit = sg.gsdar_fit(sg.LOGISTIC, train, cfg)
     labels = (test.X @ fit.beta_hat + fit.intercept >= 0.0).astype(float)
     assert report.acrp == pytest.approx(sg.metric_acrp(labels, test.y), rel=1e-12)
@@ -422,3 +432,30 @@ def test_run_replications_rejects_nonpositive_reps():
     sim = sg.SimConfig(n=30, p=8, k=1, scheme=sg.SCHEME_AR1)
     with pytest.raises(ValueError, match="reps"):
         sg.run_replications(sim, sg.SdarConfig(sparsity_t=1), reps=0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.2, 1.5, -0.5, math.nan])
+def test_run_replications_checks_the_fraction_before_any_draw(monkeypatch, fraction):
+    drawn = []
+    real = sg.simulate.generate_instance
+    monkeypatch.setattr("sdar_glm.simulate.generate_instance",
+                        lambda *args: drawn.append(args) or real(*args))
+    sim = sg.SimConfig(n=30, p=8, k=1, scheme=sg.SCHEME_AR1)
+    with pytest.raises(ValueError, match=r"^train_fraction must lie in \(0, 1\], got "):
+        sg.run_replications(sim, sg.SdarConfig(sparsity_t=1), reps=2, train_fraction=fraction)
+    assert drawn == []
+
+
+def test_run_replications_rounds_the_fraction_to_the_nearest_count(monkeypatch):
+    sizes = []
+    real = sg.simulate.train_test_split
+    monkeypatch.setattr("sdar_glm.simulate.train_test_split",
+                        lambda data, size, seed: sizes.append(size) or real(data, size, seed))
+    sim = sg.SimConfig(n=5, p=3, k=1, scheme=sg.SCHEME_AR1, seed=2)
+    cfg = sg.SdarConfig(sparsity_t=1)
+    sg.run_replications(sim, cfg, reps=2, train_fraction=0.5)
+    assert sizes == [2, 2]  # round-half-to-even on 2.5
+    # the fraction 1.0 trains on every row, in order, and scores in-sample
+    full = sg.run_replications(sim, cfg, reps=2, train_fraction=1.0)
+    assert sizes[2:] == [5, 5]
+    assert full == sg.run_replications(sim, cfg, reps=2)
