@@ -662,15 +662,18 @@ def train_test_split(
     """Uniformly random row partition into train_size rows and the rest.
 
     train_size = data.n yields an empty test set.  An empty train set is an
-    error.  Row order within each part is ascending, so the same seed gives
-    the same split bytes-for-bytes.
+    error, and so is a train_size that is not an int or numpy integer (a
+    bool, or a float such as 2.7, is refused, not truncated).  Row order
+    within each part is ascending, so the same seed gives the same split
+    bytes-for-bytes.
     """
-    n_train = int(train_size)
-    if not 0 < n_train <= data.n:
-        raise ValueError(f"train size {n_train} must lie in [1, {data.n}]")
+    if isinstance(train_size, bool) or not isinstance(train_size, (int, np.integer)):
+        raise ValueError(f"train size must be a whole number of rows, got {train_size!r}")
+    if not 0 < train_size <= data.n:
+        raise ValueError(f"train size {train_size} must lie in [1, {data.n}]")
     perm = as_rng(seed).permutation(data.n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
+    train_idx = np.sort(perm[:train_size])
+    test_idx = np.sort(perm[train_size:])
     return (  # rows of a Dataset's X are finite
         Dataset(data.X[train_idx], data.y[train_idx], _x_checked=True),
         Dataset(data.X[test_idx], data.y[test_idx], _x_checked=True),

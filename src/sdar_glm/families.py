@@ -174,6 +174,12 @@ class Dataset:
     from a Dataset's X (plus zeros or ones); generate_instance draws only
     the designs that SimConfig admits as finite by construction.  It skips
     the scan of X, nothing else.
+
+    X and y are read-only views, and the arrays they were built from must
+    not change afterwards: the finiteness check is made once, at
+    construction, and the solver keeps each family's null-model dual
+    -grad L(0) in the private dict _null_duals, computed by the first fit
+    from zero and reused by every later one.
     """
 
     X: np.ndarray
@@ -193,8 +199,15 @@ class Dataset:
             raise ValueError("X contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
+        X, y = X.view(), y.view()  # read-only views; the caller's arrays stay as they were
+        X.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_null_duals", {})  # family -> -grad L(0), see solver
+
+    def __reduce__(self):
+        # a copy or an unpickled Dataset is built anew, from finite X: read-only, nothing kept
+        return type(self), (self.X, self.y, True)
 
     @property
     def n(self) -> int:

@@ -20,7 +20,10 @@ the levels ruled out; AgsdarConfig(full_path=True) fits them anyway.
 
 A warm-started level starts from the previous fit's coefficients and from
 its dual, -grad L at those coefficients, which that fit computed at its
-last iterate; so each level after the first saves one pass over X.
+last iterate; so each level after the first saves one pass over X.  A level
+that starts from zero (the first, or every level when warm_start is False)
+starts from -grad L(0), which the Dataset keeps per family once a fit has
+computed it; so a path makes one initial pass over X at most, warm or cold.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
             skipped = tuple(levels[levels.index(t):])
             break
         inner = replace(cfg.inner, sparsity_t=t)
-        start = prev_fit if cfg.warm_start else null  # the null fit carries no dual
+        start = prev_fit if cfg.warm_start else null  # from zero, gsdar_fit reuses -grad L(0)
         try:
             fit = gsdar_fit(family, data, inner, beta0=start.beta_hat, intercept0=start.intercept,
                             _dual0=start.dual)

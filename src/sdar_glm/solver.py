@@ -14,7 +14,9 @@ makes termination unconditional.
 The map has one home, the loop of gsdar_fit.  It keeps its iterate in
 locals: beta, the intercept, the active set and the whole dual -grad L.
 Only the screen zeroes the dual on the active set, in the vector it ranks,
-so the dual the fit returns and certifies is the unmasked gradient.
+so the dual the fit returns and certifies is the unmasked gradient.  A fit
+from zero starts from -grad L(0), which depends only on the data and the
+family, so each Dataset keeps it per family once a fit has computed it.
 
 The restricted Newton systems are small (|support| plus the intercept
 columns) and are solved by calling LAPACK's Cholesky routines directly:
@@ -303,6 +305,17 @@ def kkt_residual(family: GlmFamily, data: Dataset, fit: FitResult, t: int) -> fl
     return _certificate(beta, -gradient(family, data, beta, fit.intercept), t)
 
 
+def _null_dual(family: GlmFamily, data: Dataset) -> np.ndarray:
+    """-grad L(0) of `family` on `data`, which the first call computes and
+    keeps read-only on the Dataset; theta = 0 with or without an intercept."""
+    dual = data._null_duals.get(family)
+    if dual is None:
+        dual = -gradient(family, data, np.zeros(data.p))
+        dual.flags.writeable = False
+        data._null_duals[family] = dual
+    return dual
+
+
 def gsdar_fit(
     family: GlmFamily,
     data: Dataset,
@@ -324,12 +337,15 @@ def gsdar_fit(
     beta + tau * dual with the dual zeroed on the active set, in that
     vector only; the iterate's dual stays the unmasked -grad L.
 
-    A fit reads all of X once for the initial dual and once per outer
-    iteration, and never copies it; the returned certificate reuses the
-    dual of the chosen iterate, which the result carries as `dual`.  The
-    sparsity path hands that dual to the next level as _dual0, the initial
-    dual at (beta0, intercept0), so a warm-started level skips its first
-    pass over X; _dual0 is trusted, not checked.
+    A fit reads all of X once per outer iteration and never copies it; the
+    returned certificate reuses the dual of the chosen iterate, which the
+    result carries as `dual`.  The initial dual at (beta0, intercept0) costs
+    one more pass, except in two cases.  From zero (beta0 all zero, and the
+    intercept zero or not fitted) it is -grad L(0), which the first such fit
+    on `data` with `family` computes and keeps on the Dataset, read-only, for
+    every later one.  And the sparsity path hands a fit's dual to the next
+    level as _dual0, so a warm-started level skips that pass; _dual0 is
+    trusted, not checked.
     """
     if data.n < 1:
         raise ValueError("data must contain at least one observation")
@@ -348,6 +364,8 @@ def gsdar_fit(
     if beta.shape != (data.p,):
         raise ValueError(f"beta0 must have shape ({data.p},), got {beta.shape}")
     intercept = float(intercept0) if cfg.with_intercept else 0.0
+    if _dual0 is None and intercept == 0.0 and not beta.any():
+        _dual0 = _null_dual(family, data)
     dual = -gradient(family, data, beta, intercept) if _dual0 is None else _dual0
     active = np.empty(0, dtype=int)
 

@@ -206,9 +206,10 @@ def test_read_libsvm_keeps_its_dataset_checks(tmp_path):
     with pytest.raises(ValueError, match="y contains non-finite"):
         sg.read_libsvm(str(path))
     data = sg.read_libsvm(planted_file(tmp_path))
-    data.X[3, 2] = np.inf  # the reader's design itself: only the reader may skip the scan
+    X = data.X.copy()  # the reader's design, which is read-only: only the reader may skip the scan
+    X[3, 2] = np.inf
     with pytest.raises(ValueError, match="X contains non-finite"):
-        sg.Dataset(data.X, data.y)
+        sg.Dataset(X, data.y)
 
 
 def test_gaussian_fit_reports_no_accuracy(tmp_path, capsys):

@@ -796,3 +796,17 @@ def test_split_accepts_counts_and_full_fraction():
 def test_split_validates_arguments(train_size):
     with pytest.raises(ValueError, match=f"^train size {train_size} must lie in \\[1, 6\\]$"):
         sg.train_test_split(indexed_dataset(6), train_size)
+
+
+@pytest.mark.parametrize("train_size", [2.7, True, 3.0])
+def test_split_refuses_a_size_that_is_not_a_whole_count(train_size):
+    # a float or a bool is not truncated to a count of rows
+    with pytest.raises(ValueError, match=f"^train size must be a whole number of rows, got {train_size!r}$"):
+        sg.train_test_split(indexed_dataset(6), train_size)
+
+
+def test_split_takes_a_numpy_integer_count():
+    train, test = sg.train_test_split(indexed_dataset(6), np.int64(3), seed=1)
+    want, _ = sg.train_test_split(indexed_dataset(6), 3, seed=1)
+    assert (train.n, test.n) == (3, 3)
+    assert train.X.tobytes() == want.X.tobytes()

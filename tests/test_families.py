@@ -1,6 +1,8 @@
 """GLM building blocks: losses, derivatives, and input validation."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -98,6 +100,28 @@ def test_dataset_normalizes_and_exposes_shape():
 def test_dataset_allows_zero_rows():
     data = sg.Dataset(np.zeros((0, 3)), np.zeros(0))
     assert (data.n, data.p) == (0, 3)
+
+
+def test_a_datasets_arrays_are_read_only_views_of_the_callers():
+    X, y = np.ones((3, 2)), np.zeros(3)
+    data = sg.Dataset(X, y)
+    with pytest.raises(ValueError, match="read-only"):
+        data.X[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.y[0] = 1.0
+    # no copy was made, and the caller's arrays keep their own flags
+    assert np.shares_memory(data.X, X) and np.shares_memory(data.y, y)
+    assert X.flags.writeable and y.flags.writeable
+
+
+@pytest.mark.parametrize("rebuild", [copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))])
+def test_a_copied_dataset_is_read_only_and_keeps_no_dual(rebuild):
+    data = sg.Dataset(np.arange(6.0).reshape(3, 2), np.array([1.0, 0.0, 1.0]))
+    sg.gsdar_fit(sg.LOGISTIC, data, sg.SdarConfig(sparsity_t=1))
+    other = rebuild(data)
+    assert other.X.tobytes() == data.X.tobytes() and other.y.tobytes() == data.y.tobytes()
+    assert not (other.X.flags.writeable or other.y.flags.writeable)
+    assert data._null_duals and not other._null_duals
 
 
 @pytest.mark.parametrize(

@@ -82,11 +82,55 @@ def test_fit_carries_the_dual_at_its_coefficients(name):
     assert fit.dual.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("with_intercept", [False, True])
+@pytest.mark.parametrize("family, build, t", CASES, ids=["logistic", "gaussian"])
+def test_a_refit_from_zero_reuses_the_datasets_null_dual(monkeypatch, family, build, t, with_intercept):
+    data = build()
+    cfg = sg.SdarConfig(sparsity_t=t, with_intercept=with_intercept)
+    # theta = 0 with or without an intercept, so either fit keeps -grad L(0)
+    sg.gsdar_fit(family, data, replace(cfg, with_intercept=not with_intercept))
+    calls = _counting(monkeypatch, solver, "gradient")
+    again = sg.gsdar_fit(family, data, cfg)
+    assert len(calls) == again.iters  # one per restricted solve, none for -grad L(0)
+    fresh = sg.gsdar_fit(family, build(), cfg)
+    for name in ("beta_hat", "dual"):
+        assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+    for name in ("nll", "kkt_residual", "iters", "termination", "intercept"):
+        assert getattr(again, name) == getattr(fresh, name)
+
+
+@pytest.mark.parametrize("family, build, t", CASES, ids=["logistic", "gaussian"])
+@pytest.mark.parametrize("start", ["beta0", "intercept0", "family"])
+def test_a_start_off_zero_or_a_new_family_costs_a_pass(monkeypatch, family, build, t, start):
+    data = build()
+    cfg = sg.SdarConfig(sparsity_t=t, with_intercept=True)
+    sg.gsdar_fit(family, data, cfg)  # keeps -grad L(0) of `family`
+    kwargs = {}
+    if start == "beta0":
+        kwargs["beta0"] = np.zeros(data.p)
+        kwargs["beta0"][0] = 0.1
+    elif start == "intercept0":
+        kwargs["intercept0"] = 0.3
+    else:
+        family = type(family)()  # an equal family, but another object
+    calls = _counting(monkeypatch, solver, "gradient")
+    fit = sg.gsdar_fit(family, data, cfg, **kwargs)
+    assert len(calls) == 1 + fit.iters
+
+
+def test_a_kept_null_dual_is_read_only():
+    family, build, t = CASES[0]
+    data = build()
+    sg.gsdar_fit(family, data, sg.SdarConfig(sparsity_t=t))
+    (dual,) = data._null_duals.values()
+    assert dual.tobytes() == (-families.gradient(family, data, np.zeros(data.p))).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        dual[0] = 0.0
+
+
 @pytest.mark.parametrize("warm_start", [True, False])
 @pytest.mark.parametrize("name", ["c6-rep1", "gaussian-intercept-3"])
-def test_path_makes_one_gradient_pass_per_outer_iteration_plus_one_per_cold_start(
-    monkeypatch, name, warm_start
-):
+def test_path_makes_one_gradient_pass_per_outer_iteration_plus_one(monkeypatch, name, warm_start):
     family, build, full = PATH_BYTE_CASES[name]
     data = build()
     calls = _counting(monkeypatch, solver, "gradient")
@@ -94,8 +138,9 @@ def test_path_makes_one_gradient_pass_per_outer_iteration_plus_one_per_cold_star
     levels = len(res.fits) - 1  # the null point is not fitted
     assert levels == 12
     iters = sum(pt.fit.iters for pt in res.fits)
-    # a warm-started level starts from the dual its predecessor handed over
-    assert len(calls) == (1 if warm_start else levels) + iters
+    # a warm-started level starts from the dual its predecessor handed over,
+    # and a cold-started one from the -grad L(0) the first level computed
+    assert len(calls) == 1 + iters
 
 
 def test_level_after_a_failure_starts_from_the_last_success(monkeypatch):
