@@ -146,10 +146,10 @@ def _solver_config(args, t: int) -> SdarConfig:
 
 def _prepare(data, family, standardize) -> Dataset:
     """A dataset as read from LIBSVM, made ready to fit: labels mapped to
-    {0, 1} for the logistic family, columns rescaled when asked.  Only a
+    {0, 1} for a binary family, columns rescaled when asked.  Only a
     rescaled X is scanned for finite values, since rescaling can overflow;
     data.X comes from a Dataset (read_libsvm's or pad_features')."""
-    y = map_labels_to_binary(data.y) if family.name == "logistic" else data.y
+    y = map_labels_to_binary(data.y) if family.binary else data.y
     try:
         X = standardize_columns(data.X, standardize) if standardize != "none" else data.X
     except UnscalableColumnError as exc:
@@ -158,14 +158,17 @@ def _prepare(data, family, standardize) -> Dataset:
 
 
 def _cmd_fit(args) -> int:
-    """One fit at sparsity level T on --data, optionally scored on held-out
-    rows: a --test file (both padded to the wider p) or the rows that
-    --train-size leaves out of --data."""
+    """One fit at sparsity level T on --data; for a binary family, optionally
+    scored on held-out rows: a --test file (both padded to the wider p) or
+    the rows that --train-size leaves out of --data."""
     if args.test is not None and args.train_size is not None:
         raise UsageError("give at most one of --test and --train-size")
     if args.seed is not None and args.train_size is None:
         raise UsageError("--seed applies only to --train-size")
     family = get_family(args.family)
+    for flag, value in (("--test", args.test), ("--train-size", args.train_size)):
+        if value is not None and not family.binary:
+            raise UsageError(f"{flag} applies only to a binary family, not {family.name}")
     data = read_libsvm(args.data, n_features=args.n_features)
     test = None if args.test is None else read_libsvm(args.test, n_features=args.n_features)
     p = max(data.p, test.p if test is not None else 0)
@@ -197,7 +200,7 @@ def _cmd_fit(args) -> int:
         lines.append(f"test: {args.test}")
     if test is not None:
         lines.append(f"n_test: {test.n}")
-    if family.name == "logistic":
+    if family.binary:
         lines.append(f"train_accuracy: {_fmt(fit_accuracy(fit, data))}")
         if test is not None and test.n > 0:
             lines.append(f"test_accuracy: {_fmt(fit_accuracy(fit, test))}")

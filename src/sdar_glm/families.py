@@ -59,9 +59,12 @@ class NumericOverflowError(ArithmeticError):
 
 class GlmFamily:
     """Exponential family with log-density y*theta - c(theta) + d(y), whose
-    NLL each family states once, per observation, in nll_terms."""
+    NLL each family states once, per observation, in nll_terms.  binary says
+    the responses are {0, 1} class labels, which the CLI maps LIBSVM labels
+    to and scores accuracy on."""
 
     name: str = ""
+    binary: bool = False
 
     def cumulant(self, theta: np.ndarray) -> np.ndarray:
         """c(theta)."""
@@ -100,6 +103,7 @@ class Logistic(GlmFamily):
     """
 
     name = "logistic"
+    binary = True
 
     def cumulant(self, theta):
         theta = np.asarray(theta, dtype=float)

@@ -25,7 +25,7 @@ streams (seed, r, 0..3) for design, coefficients, responses, and splitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
@@ -97,16 +97,6 @@ class SimConfig:
                     "range_ratio must exceed 1" if self.range_ratio <= 1.0
                     else f"range_ratio must be finite, got {self.range_ratio}"
                 )
-
-    def coefficient_bounds(self) -> tuple[float, float]:
-        if self.scheme == SCHEME_BANDED:
-            m1 = 5.0 * math.sqrt(2.0 * math.log(self.p) / self.n)
-            return m1, 100.0 * m1
-        return 1.0, float(self.range_ratio)
-
-    @property
-    def signed_coefficients(self) -> bool:
-        return self.scheme == SCHEME_BANDED
 
 
 @dataclass(frozen=True)
@@ -219,24 +209,23 @@ def gen_bernoulli_responses(
     return (rng.random(X.shape[0]) < expit(theta)).astype(float)
 
 
-def generate_instance(
-    cfg: SimConfig, rep: int = 0, seed: int | None = None
-) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Draw (dataset, beta*, support*) for one replication.
+def generate_instance(cfg: SimConfig, rep: int = 0) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """Draw (dataset, beta*, support*) for replication rep of the cell cfg.
 
-    Streams (seed, rep, 0/1/2) feed the design, the coefficients, and the
-    responses, so changing any one of them never shifts the others.
+    Streams (cfg.seed, rep, 0/1/2) feed the design, the coefficients, and
+    the responses, so changing any one of them never shifts the others.
     """
-    base = cfg.seed if seed is None else seed
     if cfg.scheme == SCHEME_BANDED:
-        X = gen_design_banded(cfg.n, cfg.p, cfg.rho, make_rng(base, rep, 0))
+        X = gen_design_banded(cfg.n, cfg.p, cfg.rho, make_rng(cfg.seed, rep, 0))
+        m1 = 5.0 * math.sqrt(2.0 * math.log(cfg.p) / cfg.n)
+        bounds, signed = (m1, 100.0 * m1), True
     else:
-        X = gen_design_ar1(cfg.n, cfg.p, cfg.rho, make_rng(base, rep, 0))
-    m1, m2 = cfg.coefficient_bounds()
+        X = gen_design_ar1(cfg.n, cfg.p, cfg.rho, make_rng(cfg.seed, rep, 0))
+        bounds, signed = (1.0, float(cfg.range_ratio)), False
     beta_star, support_star = gen_coefficients(
-        cfg.p, cfg.k, m1, m2, make_rng(base, rep, 1), random_signs=cfg.signed_coefficients
+        cfg.p, cfg.k, *bounds, make_rng(cfg.seed, rep, 1), random_signs=signed
     )
-    y = gen_bernoulli_responses(X, beta_star, make_rng(base, rep, 2))
+    y = gen_bernoulli_responses(X, beta_star, make_rng(cfg.seed, rep, 2))
     # SimConfig admits only designs that are finite by construction
     return Dataset(X, y, _x_checked=True), beta_star, support_star
 
@@ -295,7 +284,8 @@ def run_replications(
     seed: int | None = None,
     train_fraction: float | None = None,
 ) -> MetricReport:
-    """Average the metrics over `reps` independent replications.
+    """Average the metrics over `reps` independent replications of sim, or
+    of dataclasses.replace(sim, seed=seed) when a seed is given.
 
     With train_fraction in (0, 1], checked before any draw, each replication
     fits on round(train_fraction * n) random rows and scores accuracy on the
@@ -306,14 +296,15 @@ def run_replications(
         raise ValueError(f"reps must be >= 1, got {reps}")
     if train_fraction is not None and not 0.0 < train_fraction <= 1.0:
         raise ValueError(f"train_fraction must lie in (0, 1], got {train_fraction}")
-    base = sim.seed if seed is None else seed
+    if seed is not None:
+        sim = replace(sim, seed=seed)
     rows = []  # one score row per success, in MetricReport's field order
     for rep in range(reps):
-        data, beta_star, support_star = generate_instance(sim, rep, base)
+        data, beta_star, support_star = generate_instance(sim, rep)
         train, test = data, None
         if train_fraction is not None:
             train, test = train_test_split(
-                data, int(round(train_fraction * data.n)), seed=make_rng(base, rep, 3)
+                data, int(round(train_fraction * data.n)), seed=make_rng(sim.seed, rep, 3)
             )
         try:
             if isinstance(solver, AgsdarConfig):
@@ -330,5 +321,6 @@ def run_replications(
             float(fit.iters),
         ))
     # numpy sums axis 0 of a C-ordered array row by row, as a running total would
-    means = np.mean(rows, axis=0).tolist() if rows else [math.nan] * 6
+    averaged = [f for f in fields(MetricReport) if f.name != "failures"]
+    means = np.mean(rows, axis=0).tolist() if rows else [math.nan] * len(averaged)
     return MetricReport(*means, failures=reps - len(rows))

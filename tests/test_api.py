@@ -4,6 +4,8 @@ references live in tests/helpers.py)."""
 
 import importlib
 import inspect
+import pathlib
+import re
 import types
 from dataclasses import fields
 
@@ -76,3 +78,20 @@ def test_a_split_takes_its_size_as_a_row_count_only():
     assert tuple(inspect.signature(sg.train_test_split).parameters) == (
         "data", "train_size", "seed",
     )
+
+
+def test_a_sim_config_alone_draws_its_instance():
+    # its seed keys every stream, and each scheme's rules live in generate_instance
+    assert tuple(inspect.signature(sg.generate_instance).parameters) == ("cfg", "rep")
+    for name in ("coefficient_bounds", "signed_coefficients"):
+        assert not hasattr(sg.SimConfig, name)
+
+
+def test_the_readme_quick_start_runs(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

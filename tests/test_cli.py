@@ -272,6 +272,20 @@ def test_fit_takes_a_seed_only_for_a_train_size_split(tmp_path, capsys):
     assert unseeded == seed0 != out
 
 
+@pytest.mark.parametrize("flag, value", [("--test", "/no/such/file"), ("--train-size", "5")])
+def test_fit_holds_out_rows_only_for_a_binary_family(tmp_path, capsys, monkeypatch, flag, value):
+    # a gaussian fit has no held-out score, so neither file is read
+    train_path = planted_file(tmp_path)
+    read = []
+    real = sg.cli.read_libsvm
+    monkeypatch.setattr("sdar_glm.cli.read_libsvm", lambda *a, **k: read.append(a) or real(*a, **k))
+    argv = ["fit", "--family", "gaussian", "--data", train_path, "--T", "2", flag, value]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {flag} applies only to a binary family, not gaussian"]
+    assert read == []
+
+
 def test_bench_iters_is_not_a_command(capsys):
     # simulate --scheme ar1 computes what it did
     code, out, err = run_cli(["bench-iters", "--n", "20", "--p", "10", "--K", "2"], capsys)
@@ -834,9 +848,8 @@ REAL_DATA_ROWS = {
         "n": "1", "n_test": "0", "p": "6", "T": "1", "termination": "support_stationary",
         "iterations": "1", "nll": "4.573923462e-09", "kkt_residual": "5.477335918e-09",
         "train_accuracy": "1", "test_accuracy": ""}),
-    "gaussian": ({}, ["--family", "gaussian", "--standardize", "length-sqrt-n",
-                      "--test", "TEST", "--T", "2"], {
-        "n": "80", "n_test": "20", "p": "6", "T": "2", "termination": "support_stationary",
+    "gaussian": ({}, ["--family", "gaussian", "--standardize", "length-sqrt-n", "--T", "2"], {
+        "n": "80", "n_test": "0", "p": "6", "T": "2", "termination": "support_stationary",
         "iterations": "1", "nll": "0.1935205711", "kkt_residual": "2.775557562e-16",
         "train_accuracy": "", "test_accuracy": ""}),
 }

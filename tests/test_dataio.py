@@ -662,7 +662,7 @@ def significant_digits(v: float) -> int:
 def test_full_precision_values_are_written_by_repr(tmp_path, monkeypatch):
     # a double drawn at full precision mostly needs 16 or 17 digits; the
     # few whose repr has at most 15 are short decimals, spelled exactly
-    data, _, _ = sg.generate_instance(sg.SimConfig(n=60, p=40, k=3, rho=0.5), seed=5)
+    data, _, _ = sg.generate_instance(sg.SimConfig(n=60, p=40, k=3, rho=0.5, seed=5))
     values = data.X.ravel().tolist()
     needs_repr = sum(not (1e-4 <= abs(v) < 1e15 and significant_digits(v) <= 15) for v in values)
     counted = count_repr_values(monkeypatch)

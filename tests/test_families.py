@@ -79,6 +79,16 @@ def test_get_family_rejects_unknown_names():
         sg.get_family("poisson")
 
 
+def test_only_the_logistic_family_has_binary_responses():
+    assert sg.LOGISTIC.binary is True
+    assert sg.GAUSSIAN.binary is False
+
+    class Counting(sg.Logistic):  # as the benchmark's tracer builds one
+        pass
+
+    assert Counting().binary is True
+
+
 def test_logistic_check_response_lists_offenders():
     sg.LOGISTIC.check_response(np.array([0.0, 1.0, 1.0]))  # no raise
     with pytest.raises(ValueError, match=r"0, 1"):

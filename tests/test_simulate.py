@@ -1,5 +1,6 @@
 """Synthetic designs, coefficient draws, recovery metrics, replication loop."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,21 +16,6 @@ from helpers import ar1_design_with_separate_draws, count_finite_scans
 
 
 # --- configuration -----------------------------------------------------------
-
-def test_banded_bounds_are_set_by_the_dimensions():
-    cfg = sg.SimConfig(n=300, p=5000, k=10, rho=0.2, scheme=sg.SCHEME_BANDED)
-    m1, m2 = cfg.coefficient_bounds()
-    assert m1 == 5.0 * math.sqrt(2.0 * math.log(5000.0) / 300)
-    assert m1 == pytest.approx(1.1914412274927257, abs=1e-15)
-    assert m2 == 100.0 * m1
-    assert cfg.signed_coefficients
-
-
-def test_ar1_bounds_are_one_to_range_ratio():
-    cfg = sg.SimConfig(n=50, p=20, k=3, rho=0.5, range_ratio=7.0, scheme=sg.SCHEME_AR1)
-    assert cfg.coefficient_bounds() == (1.0, 7.0)
-    assert not cfg.signed_coefficients
-
 
 @pytest.mark.parametrize(
     "kwargs, message",
@@ -293,17 +279,22 @@ def test_an_overflowing_linear_predictor_is_recomputed_scaled():
 # --- instances ---------------------------------------------------------------
 
 def test_generate_instance_uses_documented_streams():
-    cfg = sg.SimConfig(n=60, p=20, k=3, rho=0.4, range_ratio=5.0,
-                       scheme=sg.SCHEME_AR1, seed=31)
-    data, beta_star, support_star = sg.generate_instance(cfg, rep=2)
-    X = sg.gen_design_ar1(60, 20, 0.4, make_rng(31, 2, 0))
-    beta, support = sg.gen_coefficients(20, 3, 1.0, 5.0, make_rng(31, 2, 1),
-                                        random_signs=False)
-    y = sg.gen_bernoulli_responses(X, beta, make_rng(31, 2, 2))
-    assert np.array_equal(data.X, X)
-    assert np.array_equal(beta_star, beta)
-    assert np.array_equal(support_star, support)
-    assert np.array_equal(data.y, y)
+    # banded: m1 = 5 sqrt(2 log p / n), m2 = 100 m1, signed; ar1: (1, R), all positive
+    m1 = 5.0 * math.sqrt(2.0 * math.log(5000.0) / 300)
+    for scheme, n, p, k, design, bounds, signed in (
+        (sg.SCHEME_AR1, 60, 20, 3, sg.gen_design_ar1, (1.0, 5.0), False),
+        (sg.SCHEME_BANDED, 300, 5000, 10, sg.gen_design_banded, (m1, 100.0 * m1), True),
+    ):
+        cfg = sg.SimConfig(n=n, p=p, k=k, rho=0.4, range_ratio=5.0, scheme=scheme, seed=31)
+        data, beta_star, support_star = sg.generate_instance(cfg, rep=2)
+        X = design(n, p, 0.4, make_rng(31, 2, 0))
+        beta, support = sg.gen_coefficients(p, k, *bounds, make_rng(31, 2, 1), random_signs=signed)
+        y = sg.gen_bernoulli_responses(X, beta, make_rng(31, 2, 2))
+        assert np.array_equal(data.X, X)
+        assert np.array_equal(beta_star, beta)
+        assert np.array_equal(support_star, support)
+        assert np.array_equal(data.y, y)
+    assert m1 == pytest.approx(1.1914412274927257, abs=1e-15)
 
 
 def test_generate_instance_replications_are_independent_draws():
@@ -311,10 +302,12 @@ def test_generate_instance_replications_are_independent_draws():
     d0, b0, _ = sg.generate_instance(cfg, rep=0)
     d0_again, b0_again, _ = sg.generate_instance(cfg, rep=0)
     d1, _, _ = sg.generate_instance(cfg, rep=1)
-    override, _, _ = sg.generate_instance(cfg, rep=0, seed=5)
+    same_seed, _, _ = sg.generate_instance(dataclasses.replace(cfg, seed=5), rep=0)
+    other_seed, _, _ = sg.generate_instance(dataclasses.replace(cfg, seed=6), rep=0)
     assert np.array_equal(d0.X, d0_again.X) and np.array_equal(b0, b0_again)
     assert not np.array_equal(d0.X, d1.X)
-    assert np.array_equal(d0.X, override.X)
+    assert np.array_equal(d0.X, same_seed.X)
+    assert not np.array_equal(d0.X, other_seed.X)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -380,7 +373,7 @@ def test_run_replications_single_rep_matches_a_manual_replication():
     cfg = sg.SdarConfig(sparsity_t=3)
     report = sg.run_replications(sim, cfg, reps=1)
 
-    data, beta_star, support_star = sg.generate_instance(sim, 0, 101)
+    data, beta_star, support_star = sg.generate_instance(sim, 0)
     fit = sg.gsdar_fit(sg.LOGISTIC, data, cfg)
     labels = (data.X @ fit.beta_hat + fit.intercept >= 0.0).astype(float)
     apdr, afdr, adr = sg.metric_discovery(fit.support, support_star)
@@ -399,7 +392,7 @@ def test_run_replications_scores_on_the_held_out_part():
     cfg = sg.SdarConfig(sparsity_t=3)
     report = sg.run_replications(sim, cfg, reps=1, train_fraction=0.75)
 
-    data, _, _ = sg.generate_instance(sim, 0, 103)
+    data, _, _ = sg.generate_instance(sim, 0)
     train, test = sg.train_test_split(data, 90, seed=make_rng(103, 0, 3))  # 0.75 * 120 rows
     fit = sg.gsdar_fit(sg.LOGISTIC, train, cfg)
     labels = (test.X @ fit.beta_hat + fit.intercept >= 0.0).astype(float)
