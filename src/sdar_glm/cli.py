@@ -216,8 +216,6 @@ def _cmd_path(args) -> int:
     cfg = AgsdarConfig(
         increment_theta=args.theta,
         max_support_q=args.Q,
-        nll_below=args.stop_nll,
-        change_below=args.stop_change,
         warm_start=not args.cold_start,
         full_path=args.full_path,
         inner=_solver_config(args, 1),
@@ -308,11 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     path = subs.add_parser("path", help="fit a sparsity path and select by HBIC")
     _add_data_flags(path)
     path.add_argument("--theta", type=int, default=1, help="sparsity increment")
-    path.add_argument("--Q", type=int, default=None, help="largest sparsity level")
-    path.add_argument("--stop-nll", type=float, default=None,
-                      help="stop once the fitted NLL falls below this")
-    path.add_argument("--stop-change", type=float, default=None,
-                      help="stop once consecutive coefficient change falls below this")
+    path.add_argument("--Q", type=int, default=None,
+                      help="largest sparsity level; the sweep stops there or at the HBIC bound")
     path.add_argument("--cold-start", action="store_true",
                       help="refit every level from zero instead of warm starting")
     path.add_argument("--full-path", action="store_true",

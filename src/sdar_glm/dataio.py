@@ -221,7 +221,7 @@ def _parse_bytes(raw: bytes | memoryview) -> tuple[np.ndarray, ...] | None:
     rows = np.repeat(np.arange(labels.size), np.diff(labels, append=starts.size) - 1)
     prev = np.zeros_like(idx)  # the previous index in the row, 0 at its start
     prev[1:] = np.where(rows[1:] == rows[:-1], idx[:-1], 0)
-    if not (np.all(idx > prev) and np.all(np.isfinite(val))):
+    if not (np.all(idx > prev) and np.all(np.isfinite(val)) and np.all(np.isfinite(y))):
         return None
     return y, rows, idx, val
 
@@ -402,9 +402,11 @@ def _raise_first_bad_line(raw: bytes) -> NoReturn:
             continue
         parts = line.split()
         try:
-            float(parts[0])
+            label = float(parts[0])
         except ValueError:
             raise LibsvmParseError(lineno, f"bad label {parts[0]!r}") from None
+        if not math.isfinite(label):
+            raise LibsvmParseError(lineno, f"non-finite label {parts[0]!r}")
         prev = 0
         for tok in parts[1:]:
             idx_s, sep, val_s = tok.partition(":")

@@ -61,7 +61,8 @@ class GlmFamily:
     """Exponential family with log-density y*theta - c(theta) + d(y), whose
     NLL each family states once, per observation, in nll_terms.  binary says
     the responses are {0, 1} class labels, which the CLI maps LIBSVM labels
-    to and scores accuracy on."""
+    to and scores accuracy on; separable labels drive the coefficients to
+    infinity, so the restricted solve caps them at SdarConfig.coef_cap."""
 
     name: str = ""
     binary: bool = False
@@ -166,7 +167,7 @@ def get_family(name: str) -> GlmFamily:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Dense design matrix (n observations by p predictors) plus responses.
 

@@ -15,7 +15,8 @@ Both families have L >= 0, so the penalty alone bounds the HBIC of level T
 from below by T * log(log n) * log p, which grows with T.  The sweep stops
 before the first level whose bound reaches the smallest HBIC so far: no
 later level can beat that minimum, and a tie goes to the earlier level, so
-the selection is the one the full sweep makes.  PathResult.skipped lists
+the selection is the one the full sweep makes.  The sweep ends there or
+at the budget Q, and nothing else cuts it short.  PathResult.skipped lists
 the levels ruled out; AgsdarConfig(full_path=True) fits them anyway.
 
 A warm-started level starts from the previous fit's coefficients and from
@@ -45,20 +46,15 @@ class AgsdarConfig:
 
     increment_theta is the step between consecutive sparsity levels.
     max_support_q caps the largest level; None means floor(n / log n),
-    and any cap is clamped to min(n - 1, p).  The optional early-stop
-    thresholds end the path once the fitted NLL falls below nll_below or
-    the sup-norm change between consecutive coefficient vectors falls
-    below change_below.  Independently of both, the path stops once the
-    HBIC lower bound of the next level reaches the smallest HBIC so far,
-    which never changes the selection (see the module docstring);
+    and any cap is clamped to min(n - 1, p).  The path stops at the cap or
+    once the HBIC lower bound of the next level reaches the smallest HBIC
+    so far, which never changes the selection (see the module docstring);
     full_path = True fits every level up to the cap instead, for the whole
     HBIC curve.  warm_start = False refits every level from zero.
     """
 
     increment_theta: int = 1
     max_support_q: int | None = None
-    nll_below: float | None = None
-    change_below: float | None = None
     warm_start: bool = True
     full_path: bool = False
     inner: SdarConfig = SdarConfig(sparsity_t=1)  # sparsity_t is overridden per level
@@ -68,20 +64,16 @@ class AgsdarConfig:
             raise ValueError(f"increment_theta must be >= 1, got {self.increment_theta}")
         if self.max_support_q is not None and self.max_support_q < 1:
             raise ValueError(f"max_support_q must be >= 1, got {self.max_support_q}")
-        if self.nll_below is not None and not self.nll_below >= 0.0:
-            raise ValueError("nll_below must be nonnegative")
-        if self.change_below is not None and not self.change_below >= 0.0:
-            raise ValueError("change_below must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathPoint:
     t: int
     fit: FitResult
     hbic: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathResult:
     fits: tuple[PathPoint, ...]
     selected_t: int
@@ -154,10 +146,6 @@ def agsdar_fit(family: GlmFamily, data: Dataset, cfg: AgsdarConfig) -> PathResul
             continue
         points.append(PathPoint(t, fit, hbic(fit, n, p)))
         best_hbic = min(best_hbic, points[-1].hbic)
-        if cfg.nll_below is not None and fit.nll <= cfg.nll_below:
-            break
-        if cfg.change_below is not None and abs(fit.beta_hat - prev_fit.beta_hat).max() <= cfg.change_below:
-            break
         prev_fit = fit
 
     best = min(points, key=lambda pt: (pt.hbic, pt.t))

@@ -91,9 +91,9 @@ class SdarConfig:
     sparsity_t is the active-set cardinality T.  step_size_tau in (0, 1]
     scales the dual before support detection; 1 is the plain rule, smaller
     values damp the screening on badly conditioned designs.  The class
-    constant coef_cap bounds logistic coefficients componentwise, and the
-    intercept with them, so that separable data cannot drive the restricted
-    solve to infinity; such a fit can stop with its intercept at +-coef_cap.
+    constant coef_cap bounds a binary family's coefficients componentwise,
+    and the intercept with them, so that separable labels cannot drive the
+    restricted solve to infinity; such a fit's intercept can stop at +-coef_cap.
     """
 
     sparsity_t: int
@@ -114,7 +114,7 @@ class SdarConfig:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """A fitted model.  dual is -grad L at (beta_hat, intercept), the vector
     the certificate was computed from; a warm-started path level starts
@@ -127,7 +127,7 @@ class FitResult:
     iters: int
     termination: Termination
     intercept: float = 0.0
-    dual: np.ndarray | None = field(default=None, repr=False, compare=False)
+    dual: np.ndarray | None = field(default=None, repr=False)
 
 
 def top_t_support(v: np.ndarray, t: int) -> np.ndarray:
@@ -187,9 +187,9 @@ def restricted_mle(
     1e-4), which never raises the NLL.  Returns the last accepted iterate
     once ||g||_inf <= newton_grad_tol, after newton_max_iters steps, or once
     no step descends or a line-search candidate has the bits of the current
-    iterate (the step has rounded away, at the cap or in b).  For the
-    logistic family init and every iterate are clipped to [-coef_cap,
-    coef_cap] componentwise, which keeps separable data finite.  A Newton
+    iterate (the step has rounded away, at the cap or in b).  For a binary
+    family init and every iterate are clipped to [-coef_cap, coef_cap]
+    componentwise, which keeps separable data finite.  A Newton
     system that stays singular after the ridge_jitter retry, or whose
     Hessian or gradient overflowed, raises SingularSystemError, and an
     overflowing linear predictor raises NumericOverflowError; an overflowing
@@ -203,7 +203,7 @@ def restricted_mle(
         raise ValueError(f"active set size {active.size} exceeds the sample size {data.n}")
     Xa = np.ascontiguousarray(data.X[:, active])
     y = data.y
-    cap = cfg.coef_cap if family.name == "logistic" else np.inf  # an infinite cap keeps the bits
+    cap = cfg.coef_cap if family.binary else np.inf  # an infinite cap keeps the bits
 
     b = np.array(init, dtype=float)
     if b.shape != (active.size,):

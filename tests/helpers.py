@@ -241,7 +241,8 @@ def newton_solve_reference(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def read_libsvm_per_token(path: str, n_features: int | None = None) -> Dataset:
     """The per-token LIBSVM reader that the bulk read_libsvm replaced, kept
-    verbatim as the reference it is compared against.
+    as the reference it is compared against; the one change since is that
+    a non-finite label is a malformed line, as it is for read_libsvm.
 
     Parse a LIBSVM text file into a dense Dataset.
 
@@ -262,6 +263,8 @@ def read_libsvm_per_token(path: str, n_features: int | None = None) -> Dataset:
                 label = float(parts[0])
             except ValueError:
                 raise LibsvmParseError(lineno, f"bad label {parts[0]!r}") from None
+            if not np.isfinite(label):
+                raise LibsvmParseError(lineno, f"non-finite label {parts[0]!r}")
             feats: list[tuple[int, float]] = []
             prev = 0
             for tok in parts[1:]:

@@ -2,6 +2,7 @@
 simulations and the CLI run, and no export kept only for tests (their
 references live in tests/helpers.py)."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -9,6 +10,7 @@ import re
 import types
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import sdar_glm as sg
@@ -71,6 +73,49 @@ def test_a_solver_config_holds_only_the_options_a_caller_sets():
     )
     with pytest.raises(TypeError):
         sg.SdarConfig(sparsity_t=1, coef_cap=8.0)
+
+
+def test_a_path_config_holds_one_stopping_rule():
+    # the sweep ends at the HBIC bound or at the cap; no threshold cuts it short
+    assert tuple(f.name for f in fields(sg.AgsdarConfig)) == (
+        "increment_theta", "max_support_q", "warm_start", "full_path", "inner",
+    )
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    data = sg.Dataset(np.ones((3, 2)), np.zeros(3))
+    fit = sg.gsdar_fit(sg.GAUSSIAN, data, sg.SdarConfig(sparsity_t=1))
+    path = sg.agsdar_fit(sg.GAUSSIAN, data, sg.AgsdarConfig())
+    twins = [
+        (data, sg.Dataset(np.ones((3, 2)), np.zeros(3))),
+        (fit, sg.gsdar_fit(sg.GAUSSIAN, data, sg.SdarConfig(sparsity_t=1))),
+        (path.fits[0], sg.PathPoint(path.fits[0].t, path.fits[0].fit, path.fits[0].hbic)),
+        (path, sg.agsdar_fit(sg.GAUSSIAN, data, sg.AgsdarConfig())),
+    ]
+    for record, twin in twins:
+        assert record == record and not record == twin and record != twin
+        assert len({record, twin}) == 2
+
+
+def test_no_source_line_compares_a_family_name():
+    # a family's attributes say what it is, so no rule keys on its name, which
+    # is output text only; the one .name a rule may compare is a dataclass
+    # field's, bound by `for f in fields(...)`
+    for source in sorted(pathlib.Path(sg.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        fields_vars = {
+            node.target.id for node in ast.walk(tree)
+            if isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Call)
+            and getattr(node.iter.func, "id", None) == "fields"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                named = [
+                    op for op in (node.left, *node.comparators)
+                    if isinstance(op, ast.Attribute) and op.attr == "name"
+                    and getattr(op.value, "id", None) not in fields_vars
+                ]
+                assert not named, f"{source.name}:{node.lineno} compares a .name"
 
 
 def test_a_split_takes_its_size_as_a_row_count_only():

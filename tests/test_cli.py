@@ -200,11 +200,16 @@ def test_fit_checks_the_design_for_finiteness_once(tmp_path, capsys, monkeypatch
     assert len(scans) == (0 if standardize == "none" else 1)
 
 
-def test_read_libsvm_keeps_its_dataset_checks(tmp_path):
-    path = tmp_path / "nan-label.txt"
-    path.write_text("nan 1:1.0\n1 2:1.0\n", encoding="ascii")
-    with pytest.raises(ValueError, match="y contains non-finite"):
-        sg.read_libsvm(str(path))
+def test_read_libsvm_keeps_its_dataset_checks(tmp_path, capsys):
+    # a non-finite label is a malformed line, named as a non-finite value is
+    path = tmp_path / "bad-label.txt"
+    for label in ("nan", "1e999"):
+        path.write_text(f"1 1:0.5\n{label} 2:1.0\n", encoding="ascii")
+        with pytest.raises(sg.LibsvmParseError, match=f"^line 2: non-finite label '{label}'$"):
+            sg.read_libsvm(str(path))
+        code, out, err = run_cli(["fit", "--family", "gaussian", "--data", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: line 2: non-finite label '{label}'"]
     data = sg.read_libsvm(planted_file(tmp_path))
     X = data.X.copy()  # the reader's design, which is read-only: only the reader may skip the scan
     X[3, 2] = np.inf
@@ -727,13 +732,15 @@ def test_simulate_reports_a_finite_reerr_when_the_coefficients_overflow_their_no
     assert row["rep_failures"] == "0" and math.isfinite(float(row["reerr"]))
 
 
-def test_path_rejects_a_nan_stop(tmp_path, capsys):
+def test_path_has_no_threshold_stop(tmp_path, capsys):
+    # the sweep ends only at the HBIC bound or at Q
     data = planted_file(tmp_path)
-    for flag, field in (("--stop-nll", "nll_below"), ("--stop-change", "change_below")):
+    for flag in ("--stop-nll", "--stop-change"):
         code, out, err = run_cli(["path", "--family", "logistic", "--data", data,
-                                  flag, "nan"], capsys)
+                                  flag, "0.1"], capsys)
         assert (code, out) == (1, "")
-        assert err.splitlines() == [f"error: {field} must be nonnegative"]
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: unrecognized arguments: {flag} 0.1")
 
 
 def test_simulate_exits_two_when_every_cell_is_invalid(capsys):
@@ -1026,8 +1033,7 @@ def draw_argv(draw, tmp_path):
     if command == "path":
         return ["path", *family, "--data", draw_tiny_file(draw, tmp_path / "a.txt"),
                 *draw_flags(draw, {**DATA_FLAGS, **SOLVER_FLAGS, "--Q": ["0", "1", "3"],
-                                   "--theta": ["1", "2", "0"], "--stop-nll": ["0.5", "nan"],
-                                   "--stop-change": ["0.01", "nan"], "--cold-start": [None],
+                                   "--theta": ["1", "2", "0"], "--cold-start": [None],
                                    "--full-path": [None]})]
     # at most 2 replications (the default is 100) and sweeps of 2 values
     return ["simulate", "--scheme", draw(st.sampled_from(["ar1", "banded"])),

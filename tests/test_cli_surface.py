@@ -56,8 +56,6 @@ SURFACE = {
             ("--standardize",), "_StoreAction", "none", False,
             ("none", "mean0var1", "length-sqrt-n"), None, None,
         ),
-        "stop_change": (("--stop-change",), "_StoreAction", None, False, None, None, None),
-        "stop_nll": (("--stop-nll",), "_StoreAction", None, False, None, None, None),
         "tau": (("--tau",), "_StoreAction", 1.0, False, None, None, None),
         "theta": (("--theta",), "_StoreAction", 1, False, None, None, None),
     },
@@ -92,7 +90,7 @@ ARGV = {
     ).split(),
     "path-all": (
         "path --family logistic --data d.txt --n-features 9 --standardize length-sqrt-n "
-        "--theta 2 --Q 8 --stop-nll 0.25 --stop-change 1e-3 --cold-start --full-path "
+        "--theta 2 --Q 8 --cold-start --full-path "
         "--tau 0.5 --max-outer-iters 7 --intercept --output o.txt"
     ).split(),
     "simulate-all": (
@@ -111,8 +109,7 @@ NAMESPACES = {
     "path": {
         "Q": None, "cold_start": False, "command": "path", "data": "d.txt", "family": "gaussian",
         "full_path": False, "func": "_cmd_path", "intercept": False, "max_outer_iters": 50,
-        "n_features": None, "output": None, "standardize": "none", "stop_change": None,
-        "stop_nll": None, "tau": 1.0, "theta": 1,
+        "n_features": None, "output": None, "standardize": "none", "tau": 1.0, "theta": 1,
     },
     "simulate": {
         "K": [2, 4, 6], "Q": None, "R": [3.0], "T": None, "command": "simulate",
@@ -128,8 +125,8 @@ NAMESPACES = {
     "path-all": {
         "Q": 8, "cold_start": True, "command": "path", "data": "d.txt", "family": "logistic",
         "full_path": True, "func": "_cmd_path", "intercept": True, "max_outer_iters": 7,
-        "n_features": 9, "output": "o.txt", "standardize": "length-sqrt-n", "stop_change": 0.001,
-        "stop_nll": 0.25, "tau": 0.5, "theta": 2,
+        "n_features": 9, "output": "o.txt", "standardize": "length-sqrt-n", "tau": 0.5,
+        "theta": 2,
     },
     "simulate-all": {
         "K": [3], "Q": 9, "R": [2.0, 3.0, 4.0], "T": 4, "command": "simulate",

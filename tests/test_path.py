@@ -139,34 +139,6 @@ def test_all_ones_logistic_response_selects_the_null_model():
     assert res.selected_fit.nll == pytest.approx(math.log(2.0), abs=1e-15)
 
 
-def test_nll_floor_stops_the_sweep_early():
-    rng = make_rng(53)
-    X = rng.standard_normal((60, 10))
-    beta = np.zeros(10)
-    beta[[2, 7]] = [1.0, -2.0]
-    data = sg.Dataset(X, X @ beta)  # noiseless
-    res = sg.agsdar_fit(sg.GAUSSIAN, data, sg.AgsdarConfig(max_support_q=8, nll_below=1e-10))
-    assert [pt.t for pt in res.fits] == [0, 1, 2]
-    assert res.fits[-1].fit.nll <= 1e-10
-    assert res.selected_t == 2
-
-
-def test_coefficient_change_floor_stops_the_sweep_early():
-    rng = make_rng(53)
-    X = rng.standard_normal((60, 10))
-    beta = np.zeros(10)
-    beta[[2, 7]] = [1.0, -2.0]
-    data = sg.Dataset(X, X @ beta)
-    res = sg.agsdar_fit(
-        sg.GAUSSIAN, data, sg.AgsdarConfig(max_support_q=8, change_below=1e-8, full_path=True)
-    )
-    # the HBIC bound would also stop this sweep at T = 3, so it is turned off;
-    # T = 3 reproduces the T = 2 coefficients (the extra coordinate is ~0),
-    # which trips the change floor one point after the fit stabilises
-    assert [pt.t for pt in res.fits] == [0, 1, 2, 3]
-    assert res.selected_t == 2
-
-
 def test_per_level_failures_are_recorded_and_skipped(monkeypatch):
     # exactly duplicated integer columns make the T = 2 Hessian singular in
     # exact arithmetic; with the jitter retry disabled that level must fail
@@ -309,6 +281,20 @@ def test_early_stop_is_exact_past_a_failed_level(monkeypatch):
     assert [t for t, _ in full.failures] == [4, 5, 6, 7, 8]
 
 
+def test_early_stop_ends_a_noiseless_sweep_at_the_true_size():
+    # the exact fit at T = 2 has an HBIC of about its penalty, which the
+    # penalty of T = 3 alone exceeds
+    rng = make_rng(53)
+    X = rng.standard_normal((60, 10))
+    beta = np.zeros(10)
+    beta[[2, 7]] = [1.0, -2.0]
+    data = sg.Dataset(X, X @ beta)
+    early, _ = _assert_early_stop_is_exact(sg.GAUSSIAN, data, sg.AgsdarConfig(max_support_q=8))
+    assert [pt.t for pt in early.fits] == [0, 1, 2]
+    assert early.skipped == (3, 4, 5, 6, 7, 8)
+    assert early.selected_t == 2
+
+
 def test_path_needs_three_observations():
     data = sg.Dataset(np.ones((2, 3)), np.zeros(2))
     with pytest.raises(ValueError, match="needs n >= 3"):
@@ -320,17 +306,9 @@ def test_path_needs_three_observations():
     [
         {"increment_theta": 0},
         {"max_support_q": 0},
-        {"nll_below": -1.0},
-        {"change_below": -1e-9},
     ],
 )
 def test_path_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         sg.AgsdarConfig(**kwargs)
 
-
-@pytest.mark.parametrize("field", ["nll_below", "change_below"])
-def test_a_nan_stop_is_rejected_with_the_message_of_a_negative_one(field):
-    # nan < 0 is False: a NaN stop would never fire, so the check must fail on NaN
-    with pytest.raises(ValueError, match=f"^{field} must be nonnegative$"):
-        sg.AgsdarConfig(**{field: math.nan})

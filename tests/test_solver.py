@@ -196,6 +196,24 @@ def test_restricted_mle_gaussian_ignores_the_cap():
     assert b[0] == pytest.approx(100.0, rel=1e-12)
 
 
+def test_the_family_caps_by_its_labels_not_its_name():
+    # separable labels: the unconstrained MLE runs off to infinity, and a
+    # Logistic under another name is capped as the logistic family is
+    class Logit(sg.Logistic):
+        name = "logit"
+
+    X = np.array([[-0.1], [-0.05], [0.05], [0.1]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    for intercept in (False, True):
+        cfg = sg.SdarConfig(sparsity_t=1, with_intercept=intercept)
+        for family in (sg.LOGISTIC, Logit()):
+            fit = sg.gsdar_fit(family, sg.Dataset(X, y), cfg)
+            assert fit.beta_hat.tolist() == [sg.SdarConfig.coef_cap]
+        # the least-squares slope, 60, lies beyond the cap
+        fit = sg.gsdar_fit(sg.GAUSSIAN, sg.Dataset(X, 10.0 * y), cfg)
+        assert fit.beta_hat[0] == pytest.approx(60.0, rel=1e-12)
+
+
 def test_restricted_mle_singular_system_raises_without_jitter(monkeypatch):
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     data = sg.Dataset(X, np.array([1.0, 2.0, 3.5]))
